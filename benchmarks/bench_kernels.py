@@ -4,9 +4,15 @@
 The package picks one lane at import (``SWARMCOV_NO_NUMBA=1`` forces numpy);
 the ``*_numpy`` twins stay importable either way, so a single process can
 time both and report the speedup.  Results are medians over repeats, after a
-warm-up call that absorbs JIT compilation.
+warm-up call that absorbs JIT compilation.  When numba imports, each row
+then checks that the two lanes give the same bits: the returned arrays, or
+for the in-place switching step the mutated copies of pos and modes.
+Without numba only the numpy column is timed and the lanes are not compared.
+In either lane, the batched 1D march must equal the single-column marches
+bitwise.
 
-Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--repeats N]
+Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--steps N]
+       [--basis N] [--repeats N]
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ def main() -> None:
     ap.add_argument("--agents", type=int, default=200_000)
     ap.add_argument("--cells", type=int, default=4096)
     ap.add_argument("--steps", type=int, default=200, help="march steps per PDE timing")
+    ap.add_argument("--basis", type=int, default=10, help="columns of the batched 1D march")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
@@ -62,6 +69,30 @@ def main() -> None:
     w2 = rng.random((n2, n2)) + 0.5
     h2 = 1.0 / n2
     dt2 = 0.9 / (2.0 * 2.0 * w2.max() * 2.0 / (h2 * h2))
+    # the inverse solve's assembly: 100 cells, one column per hat function
+    nb = 100
+    yb = rng.random((nb, args.basis)) + 0.5
+    wb = rng.random(nb) + 0.5
+    hb = 1.0 / nb
+    dtb = 0.9 * hb * hb / (2.0 * wb.max())
+
+    def switching(kernel):
+        # the kernel updates pos and modes in place: step copies, return them
+        def run():
+            p, m = pos.copy(), modes.copy()
+            kernel(p, m, D, drift, H, 1.0, dt, noise, unif, lo, hi)
+            return p, m
+
+        return run
+
+    def columns(march):
+        # one march per column, stacked as the batched march returns them
+        return lambda: np.stack(
+            [march(yb[:, j], wb, hb, dtb, args.steps) for j in range(args.basis)], axis=1
+        )
+
+    single = f"FV march 1D, {args.basis} single ({nb} cells)"
+    batched = f"FV march 1D, batched ({nb}x{args.basis} cells)"
 
     cases = [
         (
@@ -71,10 +102,8 @@ def main() -> None:
         ),
         (
             f"SDE switching step ({n:,} agents, 2D)",
-            lambda: sk.step_switching_numpy(pos, modes, D, drift, H, 1.0, dt, noise, unif, lo, hi),
-            (lambda: sk.step_switching_jit(pos, modes, D, drift, H, 1.0, dt, noise, unif, lo, hi))
-            if NUMBA_ENABLED
-            else None,
+            switching(sk.step_switching_numpy),
+            switching(sk.step_switching_jit) if NUMBA_ENABLED else None,
         ),
         (
             f"histogram binning ({n:,} points, 50x50)",
@@ -87,6 +116,16 @@ def main() -> None:
             (lambda: pk.march_diffusion_1d_jit(y1, w1, h, dt1, args.steps)) if NUMBA_ENABLED else None,
         ),
         (
+            single,
+            columns(pk.march_diffusion_1d_numpy),
+            columns(pk.march_diffusion_1d_jit) if NUMBA_ENABLED else None,
+        ),
+        (
+            batched,
+            lambda: pk.march_diffusion_1d_numpy(yb, wb, hb, dtb, args.steps),
+            (lambda: pk.march_diffusion_1d_jit(yb, wb, hb, dtb, args.steps)) if NUMBA_ENABLED else None,
+        ),
+        (
             f"FV diffusion march 2D ({n2}x{n2} cells x {args.steps} steps)",
             lambda: pk.march_diffusion_2d_numpy(y2, w2, h2, h2, dt2, args.steps),
             (lambda: pk.march_diffusion_2d_jit(y2, w2, h2, h2, dt2, args.steps)) if NUMBA_ENABLED else None,
@@ -96,8 +135,9 @@ def main() -> None:
     lane = "numba" if NUMBA_ENABLED else "numpy (numba unavailable or disabled)"
     print(f"active lane: {lane}")
     print(f"{'kernel':<45} {'numpy':>10} {'numba':>10} {'speedup':>8}")
+    t_numpy = {}
     for label, numpy_fn, jit_fn in cases:
-        t_np = median_time(numpy_fn, args.repeats)
+        t_np = t_numpy[label] = median_time(numpy_fn, args.repeats)
         if jit_fn is None:
             print(f"{label:<45} {t_np * 1e3:>8.2f}ms {'-':>10} {'-':>8}")
             continue
@@ -112,6 +152,12 @@ def main() -> None:
             same = np.array_equal(got_np, got_jit)
         if not same:
             raise SystemExit(f"lane mismatch in {label}: numpy and numba outputs differ")
+
+    if not np.array_equal(pk.march_diffusion_1d(yb, wb, hb, dtb, args.steps),
+                          columns(pk.march_diffusion_1d)()):
+        raise SystemExit("batched 1D march differs from the single-column marches")
+    print(f"batched 1D march: {t_numpy[single] / t_numpy[batched]:.1f}x faster than "
+          f"{args.basis} single-column marches (numpy lane)")
 
 
 if __name__ == "__main__":

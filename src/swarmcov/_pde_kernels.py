@@ -18,28 +18,43 @@ from ._accel import NUMBA_ENABLED, njit
 
 
 def march_diffusion_1d_numpy(y, w, h, dt, nsteps):
+    """March a (cells,) state, or a (cells, B) stack of states column by
+    column; each element sees the same operations in the same order either
+    way, so a marched column is bitwise equal to marching it alone."""
     out = y.copy()
     n = out.shape[0]
-    q = np.zeros(n + 1)
+    w = w.reshape((n,) + (1,) * (out.ndim - 1))
+    g = np.empty_like(out)
+    q = np.zeros((n + 1,) + out.shape[1:])
+    div = np.empty_like(out)
     for _ in range(nsteps):
-        g = w * out
-        q[1:-1] = (g[1:] - g[:-1]) / h
-        out += dt * ((q[1:] - q[:-1]) / h)
+        np.multiply(w, out, out=g)
+        np.subtract(g[1:], g[:-1], out=q[1:-1])
+        q[1:-1] /= h
+        np.subtract(q[1:], q[:-1], out=div)
+        div /= h
+        div *= dt
+        out += div
     return out
 
 
 def _march_diffusion_1d_loop(y, w, h, dt, nsteps):
     out = y.copy()
     n = out.shape[0]
-    g = np.empty(n)
-    q = np.zeros(n + 1)
+    u = out.reshape((n, out.size // n))  # a view: (cells,) runs as one column
+    m = u.shape[1]
+    g = np.empty((n, m))
+    q = np.zeros((n + 1, m))
     for _ in range(nsteps):
         for i in range(n):
-            g[i] = w[i] * out[i]
+            for j in range(m):
+                g[i, j] = w[i] * u[i, j]
         for i in range(1, n):
-            q[i] = (g[i] - g[i - 1]) / h
+            for j in range(m):
+                q[i, j] = (g[i, j] - g[i - 1, j]) / h
         for i in range(n):
-            out[i] = out[i] + dt * ((q[i + 1] - q[i]) / h)
+            for j in range(m):
+                u[i, j] = u[i, j] + dt * ((q[i + 1, j] - q[i, j]) / h)
     return out
 
 

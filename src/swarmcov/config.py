@@ -38,7 +38,16 @@ def _as_int(text: str) -> int:
 
 
 def _as_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
+def _as_float_or_inf(text: str) -> float:
+    """A finite float, or inf for an open-ended horizon."""
+    value = float(text)
+    return value if value == np.inf else _as_float(text)
 
 
 def _as_str(text: str) -> str:
@@ -47,7 +56,7 @@ def _as_str(text: str) -> str:
 
 def _as_floats(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
-    return tuple(float(p) for p in parts)
+    return tuple(_as_float(p) for p in parts)
 
 
 def _as_bool(text: str) -> bool:
@@ -163,7 +172,7 @@ SCHEMAS: dict[str, dict[str, Section]] = {
         "sample": Section(
             keys={
                 "start": Key(_as_int, default=0),
-                "t_end": Key(_as_float, default=float("inf")),
+                "t_end": Key(_as_float_or_inf, default=float("inf")),
                 "seed": Key(_as_int, required=True),
                 "max_jumps": Key(_as_int),
             },
@@ -322,17 +331,19 @@ def build_init(spec: str, dim: int):
     head, _, rest = spec.partition(":")
     if head == "uniform" and not rest:
         return UniformInit()
-    if head == "point":
+    if head not in ("point", "gaussian"):
+        raise ConfigError(f"unknown init spec {spec!r}")
+    try:
         coords = _as_floats(rest)
+    except ValueError as exc:
+        raise ConfigError(f"bad init spec {spec!r}: {exc}") from exc
+    if head == "point":
         if len(coords) != dim:
             raise ConfigError(f"init point needs {dim} coordinate(s)")
         return PointInit(np.array(coords))
-    if head == "gaussian":
-        coords = _as_floats(rest)
-        if len(coords) != dim + 1:
-            raise ConfigError(f"init gaussian needs {dim} center coordinate(s) and a sigma")
-        return GaussianInit(np.array(coords[:dim]), coords[dim])
-    raise ConfigError(f"unknown init spec {spec!r}")
+    if len(coords) != dim + 1:
+        raise ConfigError(f"init gaussian needs {dim} center coordinate(s) and a sigma")
+    return GaussianInit(np.array(coords[:dim]), coords[dim])
 
 
 def build_graph(sec: dict[str, Any]) -> Graph:

@@ -20,7 +20,8 @@ The discrete model is the same conservative finite-volume scheme used by the
 forward solver, so the gradient below is the exact transpose of the discrete
 forward map (discretize-then-optimize), not a discretization of a continuous
 adjoint.  The map is linear in the nodal values, so the solver assembles it
-once, one march per basis function, and iterates on matrix-vector products.
+once, in one march of all basis functions side by side, and iterates on
+matrix-vector products.
 """
 
 from __future__ import annotations
@@ -250,27 +251,40 @@ class _Plan:
     def expand(self, coeffs: np.ndarray) -> np.ndarray:
         return self.basis @ coeffs
 
-    def march(self, coeffs: np.ndarray) -> np.ndarray:
-        """March the expansion through the dispersion window; returns the
-        cell masses (K, W) at the observation steps."""
-        u = np.ascontiguousarray(self.expand(coeffs))
-        masses = np.empty((len(self.obs_steps), self.overlap.shape[0]))
+    def _marched(self, u: np.ndarray):
+        """Yield the state u, a (cells,) vector or a (cells, B) stack of
+        columns, marched through the dispersion window to each observation
+        step in turn."""
         prev = 0
-        for k, step in enumerate(self.obs_steps):
+        for step in self.obs_steps:
             seg = int(step) - prev
             if seg > 0:
                 u = _pk.march_diffusion_1d(u, self.w, self.h, self.dt, seg)
             prev = int(step)
+            yield u
+
+    def march(self, coeffs: np.ndarray) -> np.ndarray:
+        """March the expansion through the dispersion window; returns the
+        cell masses (K, W) at the observation steps."""
+        masses = np.empty((len(self.obs_steps), self.overlap.shape[0]))
+        for k, u in enumerate(self._marched(np.ascontiguousarray(self.expand(coeffs)))):
             masses[k] = self.overlap @ u
         return masses
 
     @cached_property
     def forward_map(self) -> np.ndarray:
         """Columns are the marched masses of each hat function, flattened
-        over (time, cell): march(c).ravel() equals this matrix times c up to
-        rounding, since the march and the cell integrals are linear."""
-        unit = np.eye(self.problem.basis_size)
-        return np.stack([self.march(e).ravel() for e in unit], axis=1)
+        over (time, cell), assembled in one batched march of all hat columns:
+        march(c).ravel() equals this matrix times c up to rounding, since the
+        march and the cell integrals are linear.  The cell integrals are taken
+        column by column, so column m is bitwise equal to march(e_m).ravel()."""
+        masses = np.empty(
+            (len(self.obs_steps), self.overlap.shape[0], self.problem.basis_size)
+        )
+        for k, u in enumerate(self._marched(self.basis)):
+            for m, column in enumerate(u.T.copy()):
+                masses[k, :, m] = self.overlap @ column
+        return masses.reshape(-1, self.problem.basis_size)
 
     def value(self, coeffs: np.ndarray, masses: np.ndarray) -> float:
         """Objective at coeffs, given its flattened predicted masses."""
@@ -330,7 +344,7 @@ def objective(coeffs: np.ndarray, problem: EstimationProblem) -> float:
 
 def adjoint_gradient(coeffs: np.ndarray, problem: EstimationProblem) -> np.ndarray:
     """Exact gradient of the objective through the transpose of the assembled
-    discrete forward map (basis_size marches through the window)."""
+    discrete forward map (one batched march of the basis_size hat functions)."""
     plan = _Plan(problem)
     c = np.asarray(coeffs, dtype=float)
     return plan.gradient(c, plan.forward_map @ c)
@@ -357,10 +371,10 @@ def solve_inverse(
     when no feasible descent step is found, or at max_iters.  The recorded
     objective history is strictly decreasing over accepted iterations.
 
-    The forward map is assembled once (basis_size marches through the
-    window); each iteration then evaluates objective and gradient by
-    matrix-vector products, through the same plan as objective and
-    adjoint_gradient.
+    The forward map is assembled once (one march of all basis_size hat
+    functions through the window); each iteration then evaluates objective
+    and gradient by matrix-vector products, through the same plan as
+    objective and adjoint_gradient.
     """
     plan = _Plan(problem)
     A = plan.forward_map

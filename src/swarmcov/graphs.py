@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._accel import NUMBA_ENABLED, njit
 
@@ -182,6 +181,9 @@ def propagate(
     if t_max == 0.0:
         out = np.tile(p0, (len(t_arr), 1))
     else:
+        # imported here: scipy.integrate takes most of the package's import time
+        from scipy.integrate import solve_ivp
+
         sol = solve_ivp(
             lambda _, y: gen @ y,
             (0.0, t_max),

@@ -244,6 +244,48 @@ dir = {tmp_path / "out"}
     assert "numeric error" in capsys.readouterr().err
 
 
+def test_cli_exit_two_on_bad_init_spec(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="bad init spec"):
+        build_init("gaussian:0.5,abc,0.1", 2)
+    text = MINIMAL_COVERAGE.replace("seed = 3", "seed = 3\ninit = gaussian:0.5,abc")
+    path = _write(tmp_path, text, out=str(tmp_path / "out"))
+    assert main(["coverage", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "bad init spec" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, old, new",
+    [
+        pytest.param("coverage", "dt = 0.01", "dt = nan", id="coverage-dt-nan"),
+        pytest.param("coverage", "c1 = 0.1", "c1 = inf", id="coverage-c1-inf"),
+        pytest.param("coverage", "seed = 3", "seed = 3\nsnapshots = 0.01, nan",
+                     id="coverage-snapshots-nan"),
+        pytest.param("pde", "amplitude = 0.5", "amplitude = -inf", id="pde-amplitude-minus-inf"),
+        pytest.param("graph", "1.0, 2.0, 1.5", "1.0, nan, 1.5", id="graph-values-nan"),
+        pytest.param("graph", "seed = 7", "seed = 7\nt_end = nan", id="graph-t_end-nan"),
+    ],
+)
+def test_cli_exit_two_on_non_finite_value(tmp_path, capsys, subcommand, old, new):
+    text = {"coverage": MINIMAL_COVERAGE, "pde": MINIMAL_PDE, "graph": MINIMAL_GRAPH}[subcommand]
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new), out=str(tmp_path / "out"))
+    assert main([subcommand, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "not a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_graph_sample_t_end_accepts_inf(tmp_path):
+    # the one key that opts in: sampling may run until its jump cap
+    text = MINIMAL_GRAPH.replace("seed = 7", "seed = 7\nt_end = inf")
+    path = _write(tmp_path, text, out=str(tmp_path / "out"))
+    assert load_config(path, "graph")["sample"]["t_end"] == float("inf")
+    assert main(["graph", "--config", path]) == 0
+    assert len(load_trajectory_csv(str(tmp_path / "out" / "trajectory.csv")).times) == 501
+
+
 # ---------------------------------------------------------------------------
 # artifact determinism and round-trips
 

@@ -179,6 +179,22 @@ def test_assembled_forward_map_matches_predict():
         assert plan.value(c, assembled) == pytest.approx(objective(c, prob), rel=1e-12)
 
 
+@pytest.mark.parametrize("divisor", [100, 10])
+def test_batched_forward_map_bitwise_equals_per_column_assembly(divisor):
+    # one batched march of all hat columns assembles exactly the matrix that
+    # marching each hat function alone gives (the per-column reference)
+    from swarmcov.estimation import _Plan
+
+    rng = np.random.default_rng(divisor)
+    part = window_partition((0.7, 1.0), divisor)
+    data = rng.random((8, part.n_cells)) * 0.01
+    prob = _problem(_series(uniform_times(1.0, 2.0, 8), part, values=data),
+                    grid_cells=100, lam=0.1, basis_size=10)
+    plan = _Plan(prob)
+    reference = np.stack([plan.march(e).ravel() for e in np.eye(10)], axis=1)
+    assert np.array_equal(plan.forward_map, reference)
+
+
 # ---------------------------------------------------------------------------
 # objective
 

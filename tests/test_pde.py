@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swarmcov import _pde_kernels as pk
 from swarmcov import (
     AdrCoefficients,
     DegenerateFitError,
@@ -291,3 +292,34 @@ def test_long_horizon_reaches_one_over_w(tmp_path):
     rate, r2 = decay_rate(list(zip(rep.times, rep.active)), target)
     assert r2 >= 0.99
     assert rep.mass_drift <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# 1D diffusion kernel lanes
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 3)])
+def test_march_1d_loop_twin_bitwise_equals_numpy(shape):
+    # the loop twin is what numba compiles; run as plain Python it must give
+    # the numpy lane's bits, for one state and for a stack of columns
+    rng = np.random.default_rng(5)
+    y = rng.random(shape)
+    w = rng.random(8) + 0.5
+    h = 1.0 / 8
+    dt = 0.9 * h * h / (2.0 * w.max())
+    got = pk._march_diffusion_1d_loop(y, w, h, dt, 25)
+    assert got.shape == shape
+    assert np.array_equal(got, pk.march_diffusion_1d_numpy(y, w, h, dt, 25))
+
+
+def test_march_1d_batched_columns_bitwise_equal_single_marches():
+    rng = np.random.default_rng(6)
+    y = rng.random((20, 4))
+    w = rng.random(20) + 0.5
+    h = 1.0 / 20
+    dt = 0.9 * h * h / (2.0 * w.max())
+    y0 = y.copy()
+    batched = pk.march_diffusion_1d_numpy(y, w, h, dt, 40)
+    for j in range(4):
+        assert np.array_equal(batched[:, j], pk.march_diffusion_1d_numpy(y[:, j], w, h, dt, 40))
+    assert np.array_equal(y, y0)  # the input is not marched in place
