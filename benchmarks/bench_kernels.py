@@ -12,7 +12,7 @@ In either lane, the batched 1D march must equal the single-column marches
 bitwise.
 
 Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--steps N]
-       [--basis N] [--repeats N]
+       [--repeats N]
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def main() -> None:
     ap.add_argument("--agents", type=int, default=200_000)
     ap.add_argument("--cells", type=int, default=4096)
     ap.add_argument("--steps", type=int, default=200, help="march steps per PDE timing")
-    ap.add_argument("--basis", type=int, default=10, help="columns of the batched 1D march")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
 
@@ -71,7 +70,8 @@ def main() -> None:
     dt2 = 0.9 / (2.0 * 2.0 * w2.max() * 2.0 / (h2 * h2))
     # the inverse solve's assembly: 100 cells, one column per hat function
     nb = 100
-    yb = rng.random((nb, args.basis)) + 0.5
+    nbasis = 10  # basis_size of the bundled est_*.cfg
+    yb = rng.random((nb, nbasis)) + 0.5
     wb = rng.random(nb) + 0.5
     hb = 1.0 / nb
     dtb = 0.9 * hb * hb / (2.0 * wb.max())
@@ -88,11 +88,11 @@ def main() -> None:
     def columns(march):
         # one march per column, stacked as the batched march returns them
         return lambda: np.stack(
-            [march(yb[:, j], wb, hb, dtb, args.steps) for j in range(args.basis)], axis=1
+            [march(yb[:, j], wb, hb, dtb, args.steps) for j in range(nbasis)], axis=1
         )
 
-    single = f"FV march 1D, {args.basis} single ({nb} cells)"
-    batched = f"FV march 1D, batched ({nb}x{args.basis} cells)"
+    single = f"FV march 1D, {nbasis} single ({nb} cells)"
+    batched = f"FV march 1D, batched ({nb}x{nbasis} cells)"
 
     cases = [
         (
@@ -157,7 +157,7 @@ def main() -> None:
                           columns(pk.march_diffusion_1d)()):
         raise SystemExit("batched 1D march differs from the single-column marches")
     print(f"batched 1D march: {t_numpy[single] / t_numpy[batched]:.1f}x faster than "
-          f"{args.basis} single-column marches (numpy lane)")
+          f"{nbasis} single-column marches (numpy lane)")
 
 
 if __name__ == "__main__":

@@ -41,8 +41,8 @@ def march_diffusion_1d_numpy(y, w, h, dt, nsteps):
 def _march_diffusion_1d_loop(y, w, h, dt, nsteps):
     out = y.copy()
     n = out.shape[0]
-    u = out.reshape((n, out.size // n))  # a view: (cells,) runs as one column
-    m = u.shape[1]
+    m = out.size // n if n else 0
+    u = out.reshape((n, m))  # a view: (cells,) runs as one column
     g = np.empty((n, m))
     q = np.zeros((n + 1, m))
     for _ in range(nsteps):
