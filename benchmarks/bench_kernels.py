@@ -1,15 +1,10 @@
 #!/usr/bin/env python3
-"""Time the hot kernels in both lanes: numba-compiled loops vs pure numpy.
+"""Time the hot kernels: vectorized numpy, one call over the whole swarm.
 
-The package picks one lane at import (``SWARMCOV_NO_NUMBA=1`` forces numpy);
-the ``*_numpy`` twins stay importable either way, so a single process can
-time both and report the speedup.  Results are medians over repeats, after a
-warm-up call that absorbs JIT compilation.  When numba imports, each row
-then checks that the two lanes give the same bits: the returned arrays, or
-for the in-place switching step the mutated copies of pos and modes.
-Without numba only the numpy column is timed and the lanes are not compared.
-In either lane, the batched 1D march must equal the single-column marches
-bitwise.
+Results are medians over repeats, after one warm-up call.  The agent-step
+rows run at the sizes the CLI steps: 1e5 agents in 2D (coverage) and 1e4 in
+1D (the estimation protocol), both with zero drift as the diffusion coverage
+law has.  The batched 1D march must equal the single-column marches bitwise.
 
 Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--steps N]
        [--repeats N]
@@ -22,13 +17,13 @@ import time
 
 import numpy as np
 
-from swarmcov import NUMBA_ENABLED
 from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
+from swarmcov import two_bump_field
 
 
 def median_time(fn, repeats: int) -> float:
-    fn()  # warm-up (JIT compile, cache touch)
+    fn()  # warm-up (cache touch)
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -52,11 +47,21 @@ def main() -> None:
     unif = rng.random((n, 2))
     modes = (rng.random(n) < 0.5).astype(np.uint8)
     D = np.full(n, 0.05)
-    drift = np.zeros((n, d))
     H = np.full(n, 0.7)
     lo = np.zeros(d)
     hi = np.ones(d)
     dt = 1e-3
+
+    def step(n_agents, dim):
+        # an active step with zero drift, on a swarm spread over the unit box
+        p = rng.random((n_agents, dim))
+        z = rng.standard_normal((n_agents, dim))
+        Dn = np.full(n_agents, 0.05)
+        lo_, hi_ = np.zeros(dim), np.ones(dim)
+        return lambda: sk.step_active(p, Dn, None, dt, z, lo_, hi_)
+
+    bumps = rng.random((100_000, 2))
+    two_bump = two_bump_field()
 
     nc = args.cells
     y1 = rng.random(nc) + 0.5
@@ -80,7 +85,7 @@ def main() -> None:
         # the kernel updates pos and modes in place: step copies, return them
         def run():
             p, m = pos.copy(), modes.copy()
-            kernel(p, m, D, drift, H, 1.0, dt, noise, unif, lo, hi)
+            kernel(p, m, D, None, H, 1.0, dt, noise, unif, lo, hi)
             return p, m
 
         return run
@@ -95,69 +100,34 @@ def main() -> None:
     batched = f"FV march 1D, batched ({nb}x{nbasis} cells)"
 
     cases = [
-        (
-            f"SDE active step ({n:,} agents, 2D)",
-            lambda: sk.step_active_numpy(pos, D, drift, dt, noise, lo, hi),
-            (lambda: sk.step_active_jit(pos, D, drift, dt, noise, lo, hi)) if NUMBA_ENABLED else None,
-        ),
-        (
-            f"SDE switching step ({n:,} agents, 2D)",
-            switching(sk.step_switching_numpy),
-            switching(sk.step_switching_jit) if NUMBA_ENABLED else None,
-        ),
-        (
-            f"histogram binning ({n:,} points, 50x50)",
-            lambda: sk.bin_counts_numpy(pos, lo, hi, (50, 50)),
-            (lambda: sk._bin_counts_loop_wrap(pos, lo, hi, (50, 50))) if NUMBA_ENABLED else None,
-        ),
+        ("SDE active step (100,000 agents, 2D)", step(100_000, 2)),
+        ("SDE active step (10,000 agents, 1D)", step(10_000, 1)),
+        (f"SDE switching step ({n:,} agents, 2D)", switching(sk.step_switching)),
+        ("two-bump field eval (100,000 points)", lambda: two_bump.eval(bumps)),
+        (f"histogram binning ({n:,} points, 50x50)", lambda: sk.bin_counts(pos, lo, hi, (50, 50))),
         (
             f"FV diffusion march 1D ({nc} cells x {args.steps} steps)",
-            lambda: pk.march_diffusion_1d_numpy(y1, w1, h, dt1, args.steps),
-            (lambda: pk.march_diffusion_1d_jit(y1, w1, h, dt1, args.steps)) if NUMBA_ENABLED else None,
+            lambda: pk.march_diffusion_1d(y1, w1, h, dt1, args.steps),
         ),
-        (
-            single,
-            columns(pk.march_diffusion_1d_numpy),
-            columns(pk.march_diffusion_1d_jit) if NUMBA_ENABLED else None,
-        ),
-        (
-            batched,
-            lambda: pk.march_diffusion_1d_numpy(yb, wb, hb, dtb, args.steps),
-            (lambda: pk.march_diffusion_1d_jit(yb, wb, hb, dtb, args.steps)) if NUMBA_ENABLED else None,
-        ),
+        (single, columns(pk.march_diffusion_1d)),
+        (batched, lambda: pk.march_diffusion_1d(yb, wb, hb, dtb, args.steps)),
         (
             f"FV diffusion march 2D ({n2}x{n2} cells x {args.steps} steps)",
-            lambda: pk.march_diffusion_2d_numpy(y2, w2, h2, h2, dt2, args.steps),
-            (lambda: pk.march_diffusion_2d_jit(y2, w2, h2, h2, dt2, args.steps)) if NUMBA_ENABLED else None,
+            lambda: pk.march_diffusion_2d(y2, w2, h2, h2, dt2, args.steps),
         ),
     ]
 
-    lane = "numba" if NUMBA_ENABLED else "numpy (numba unavailable or disabled)"
-    print(f"active lane: {lane}")
-    print(f"{'kernel':<45} {'numpy':>10} {'numba':>10} {'speedup':>8}")
-    t_numpy = {}
-    for label, numpy_fn, jit_fn in cases:
-        t_np = t_numpy[label] = median_time(numpy_fn, args.repeats)
-        if jit_fn is None:
-            print(f"{label:<45} {t_np * 1e3:>8.2f}ms {'-':>10} {'-':>8}")
-            continue
-        t_jit = median_time(jit_fn, args.repeats)
-        print(f"{label:<45} {t_np * 1e3:>8.2f}ms {t_jit * 1e3:>8.2f}ms {t_np / t_jit:>7.1f}x")
-
-        got_np = numpy_fn()
-        got_jit = jit_fn()
-        if isinstance(got_np, tuple):
-            same = all(np.array_equal(a, b) for a, b in zip(got_np, got_jit))
-        else:
-            same = np.array_equal(got_np, got_jit)
-        if not same:
-            raise SystemExit(f"lane mismatch in {label}: numpy and numba outputs differ")
+    print(f"{'kernel':<45} {'median':>10}")
+    times = {}
+    for label, fn in cases:
+        times[label] = median_time(fn, args.repeats)
+        print(f"{label:<45} {times[label] * 1e3:>8.2f}ms")
 
     if not np.array_equal(pk.march_diffusion_1d(yb, wb, hb, dtb, args.steps),
                           columns(pk.march_diffusion_1d)()):
         raise SystemExit("batched 1D march differs from the single-column marches")
-    print(f"batched 1D march: {t_numpy[single] / t_numpy[batched]:.1f}x faster than "
-          f"{nbasis} single-column marches (numpy lane)")
+    print(f"batched 1D march: {times[single] / times[batched]:.1f}x faster than "
+          f"{nbasis} single-column marches")
 
 
 if __name__ == "__main__":

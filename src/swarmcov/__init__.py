@@ -1,7 +1,6 @@
 """Swarm coverage toolkit: agent simulation, mean-field solver, network
 analogue, and field estimation from windowed occupancy counts."""
 
-from ._accel import NUMBA_ENABLED
 from .errors import ConfigError, DegenerateFitError, DomainError, NumericError
 from .fields import (
     AnalyticField,
@@ -10,8 +9,6 @@ from .fields import (
     ScalarField,
     constant_diffusion_law,
     diffusion_coverage_law,
-    eval_field,
-    eval_gradient,
     field_mass,
     load_field_csv,
     normalize,
@@ -44,7 +41,6 @@ from .sde import (
     reflect,
     simulate,
     snapshots_to_csv,
-    step_agent,
     tv_distance,
 )
 from .graphs import (

@@ -1,25 +1,8 @@
-"""Multilinear interpolation kernels for grid-sampled fields.
-
-Each kernel has a numba variant (explicit loops) and a numpy variant
-(vectorized); ``swarmcov._accel`` decides which one the package uses.
-"""
+"""Multilinear interpolation kernels for grid-sampled fields (vectorized numpy)."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from ._accel import NUMBA_ENABLED, njit
-
-
-def _locate(x, lo, h, n):
-    # index of left node and fractional offset, clamped to the node range
-    s = (x - lo) / h
-    if s <= 0.0:
-        return 0, 0.0
-    if s >= n - 1:
-        return n - 2, 1.0
-    i = int(s)
-    return i, s - i
 
 
 def interp1_numpy(xq, lo, h, values):
@@ -50,56 +33,5 @@ def interp2_numpy(xq, yq, lox, hx, loy, hy, values):
     )
 
 
-def _interp1_loop(xq, lo, h, values):
-    n = values.shape[0]
-    out = np.empty(xq.shape[0])
-    for q in range(xq.shape[0]):
-        s = (xq[q] - lo) / h
-        if s <= 0.0:
-            s = 0.0
-        elif s >= n - 1.0:
-            s = n - 1.0
-        i = int(s)
-        if i > n - 2:
-            i = n - 2
-        f = s - i
-        out[q] = values[i] * (1.0 - f) + values[i + 1] * f
-    return out
-
-
-def _interp2_loop(xq, yq, lox, hx, loy, hy, values):
-    nx, ny = values.shape
-    out = np.empty(xq.shape[0])
-    for q in range(xq.shape[0]):
-        sx = (xq[q] - lox) / hx
-        if sx <= 0.0:
-            sx = 0.0
-        elif sx >= nx - 1.0:
-            sx = nx - 1.0
-        i = int(sx)
-        if i > nx - 2:
-            i = nx - 2
-        fx = sx - i
-        sy = (yq[q] - loy) / hy
-        if sy <= 0.0:
-            sy = 0.0
-        elif sy >= ny - 1.0:
-            sy = ny - 1.0
-        j = int(sy)
-        if j > ny - 2:
-            j = ny - 2
-        fy = sy - j
-        out[q] = (
-            values[i, j] * (1.0 - fx) * (1.0 - fy)
-            + values[i + 1, j] * fx * (1.0 - fy)
-            + values[i, j + 1] * (1.0 - fx) * fy
-            + values[i + 1, j + 1] * fx * fy
-        )
-    return out
-
-
-interp1_jit = njit(cache=True)(_interp1_loop) if NUMBA_ENABLED else None
-interp2_jit = njit(cache=True)(_interp2_loop) if NUMBA_ENABLED else None
-
-interp1 = interp1_jit if NUMBA_ENABLED else interp1_numpy
-interp2 = interp2_jit if NUMBA_ENABLED else interp2_numpy
+interp1 = interp1_numpy
+interp2 = interp2_numpy

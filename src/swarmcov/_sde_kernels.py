@@ -1,59 +1,44 @@
 """Hot kernels for the agent process: position updates, reflection, binning.
 
-Every kernel has a numba njit variant (explicit loops, nogil so worker threads
-can run chunks concurrently) and a vectorized numpy variant computing the same
-floating-point operations in the same per-element order.
+Vectorized numpy over the whole swarm, one call per step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
-
 
 def reflect_numpy(x, lo, hi):
-    """Fold positions into [lo, hi] per axis (specular boundary)."""
-    x = np.asarray(x, dtype=float)
+    """Fold (n, d) positions into [lo, hi] per axis (specular boundary).
+
+    Only the coordinates outside the box are folded: for 0 <= x - lo <= span,
+    mod(x - lo, 2 span) is x - lo exactly, so the result is bitwise the same
+    as folding every coordinate.
+    """
+    r = np.asarray(x, dtype=float) - lo
     span = hi - lo
-    r = np.mod(x - lo, 2.0 * span)
-    r = np.where(r > span, 2.0 * span - r, r)
-    return lo + r
-
-
-def _reflect_loop(x, lo, hi):
-    out = np.empty_like(x)
-    n, d = x.shape
-    for i in range(n):
-        for j in range(d):
-            span = hi[j] - lo[j]
-            r = (x[i, j] - lo[j]) % (2.0 * span)
-            if r > span:
-                r = 2.0 * span - r
-            out[i, j] = lo[j] + r
-    return out
+    for j in range(r.shape[1]):
+        c = r[:, j]  # a view: folded in place
+        s = span[j]
+        out = (c < 0.0) | (c > s)
+        if out.any():
+            m = np.mod(c[out], 2.0 * s)
+            c[out] = np.where(m > s, 2.0 * s - m, m)
+    r += lo
+    return r
 
 
 def step_active_numpy(pos, D, drift, dt, noise, lo, hi):
-    """One step for an all-active population; returns new positions."""
-    sig = np.sqrt(2.0 * dt)
-    x = pos + drift * dt + (D * sig)[:, None] * noise
-    return reflect_numpy(x, lo, hi)
+    """One step for an all-active population; returns new positions.
 
-
-def _step_active_loop(pos, D, drift, dt, noise, lo, hi):
-    n, d = pos.shape
+    ``drift`` is an (n, d) array, or None for zero drift.
+    """
     sig = np.sqrt(2.0 * dt)
-    out = np.empty_like(pos)
-    for i in range(n):
-        for j in range(d):
-            x = pos[i, j] + drift[i, j] * dt + (D[i] * sig) * noise[i, j]
-            span = hi[j] - lo[j]
-            r = (x - lo[j]) % (2.0 * span)
-            if r > span:
-                r = 2.0 * span - r
-            out[i, j] = lo[j] + r
-    return out
+    term = (D * sig)[:, None] * noise
+    if drift is None:
+        term += pos
+        return reflect_numpy(term, lo, hi)
+    return reflect_numpy(pos + drift * dt + term, lo, hi)
 
 
 def step_switching_numpy(pos, modes, D, drift, H, k, dt, noise, unif, lo, hi):
@@ -72,25 +57,6 @@ def step_switching_numpy(pos, modes, D, drift, H, k, dt, noise, unif, lo, hi):
     modes[react] = 1
 
 
-def _step_switching_loop(pos, modes, D, drift, H, k, dt, noise, unif, lo, hi):
-    n, d = pos.shape
-    sig = np.sqrt(2.0 * dt)
-    for i in range(n):
-        if modes[i] == 1:
-            for j in range(d):
-                x = pos[i, j] + drift[i, j] * dt + (D[i] * sig) * noise[i, j]
-                span = hi[j] - lo[j]
-                r = (x - lo[j]) % (2.0 * span)
-                if r > span:
-                    r = 2.0 * span - r
-                pos[i, j] = lo[j] + r
-            if unif[i, 0] < H[i] * dt:
-                modes[i] = 0
-        else:
-            if unif[i, 1] < k * dt:
-                modes[i] = 1
-
-
 def bin_counts_numpy(pos, lo, hi, shape):
     """Cell counts on a uniform grid; boundary points go to the interior cell."""
     n, d = pos.shape
@@ -107,56 +73,7 @@ def bin_counts_numpy(pos, lo, hi, shape):
     return counts.reshape(tuple(shape))
 
 
-def _bin_counts_loop(pos, lo, hi, nx, ny):
-    # ny == 0 flags the 1D case
-    if ny == 0:
-        counts = np.zeros(nx, dtype=np.int64)
-        h = (hi[0] - lo[0]) / nx
-        for i in range(pos.shape[0]):
-            c = int(np.floor((pos[i, 0] - lo[0]) / h))
-            if c < 0:
-                c = 0
-            elif c > nx - 1:
-                c = nx - 1
-            counts[c] += 1
-        return counts
-    counts = np.zeros(nx * ny, dtype=np.int64)
-    hx = (hi[0] - lo[0]) / nx
-    hy = (hi[1] - lo[1]) / ny
-    for i in range(pos.shape[0]):
-        cx = int(np.floor((pos[i, 0] - lo[0]) / hx))
-        if cx < 0:
-            cx = 0
-        elif cx > nx - 1:
-            cx = nx - 1
-        cy = int(np.floor((pos[i, 1] - lo[1]) / hy))
-        if cy < 0:
-            cy = 0
-        elif cy > ny - 1:
-            cy = ny - 1
-        counts[cx * ny + cy] += 1
-    return counts
-
-
-def _bin_counts_loop_wrap(pos, lo, hi, shape):
-    if len(shape) == 1:
-        return _bin_counts_jit(pos, lo, hi, shape[0], 0)
-    return _bin_counts_jit(pos, lo, hi, shape[0], shape[1]).reshape(tuple(shape))
-
-
-if NUMBA_ENABLED:
-    _jit = njit(cache=True, nogil=True)
-    reflect_jit = _jit(_reflect_loop)
-    step_active_jit = _jit(_step_active_loop)
-    step_switching_jit = _jit(_step_switching_loop)
-    _bin_counts_jit = _jit(_bin_counts_loop)
-
-    reflect_points = reflect_jit
-    step_active = step_active_jit
-    step_switching = step_switching_jit
-    bin_counts = _bin_counts_loop_wrap
-else:
-    reflect_points = reflect_numpy
-    step_active = step_active_numpy
-    step_switching = step_switching_numpy
-    bin_counts = bin_counts_numpy
+reflect_points = reflect_numpy
+step_active = step_active_numpy
+step_switching = step_switching_numpy
+bin_counts = bin_counts_numpy

@@ -106,7 +106,6 @@ def cmd_coverage(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> Non
         seed=sim["seed"] if seed is None else seed,
         snapshot_times=snapshots,
         initial=build_init(sim["init"], field.domain.dim),
-        workers=sim["workers"],
     )
     states = simulate(config, laws, field.domain)
 
@@ -356,7 +355,6 @@ def cmd_estimate(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> Non
             grid_cells=inverse["cells"],
             max_iters=inverse["max_iters"],
             tol=inverse["tol"],
-            workers=proto["workers"],
         )
         estimate, observations = result.estimate, result.observations
     else:

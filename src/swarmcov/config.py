@@ -113,7 +113,7 @@ SCHEMAS: dict[str, dict[str, Section]] = {
                 "t_end": Key(_as_float, required=True),
                 "seed": Key(_as_int, required=True),
                 "snapshots": Key(_as_floats, default=()),
-                "workers": Key(_as_int, default=1),
+                "workers": Key(_as_int, default=1),  # accepted from older configs; ignored
                 "init": Key(_as_str, default="uniform"),
             }
         ),
@@ -192,7 +192,7 @@ SCHEMAS: dict[str, dict[str, Section]] = {
                 "dt_coverage": Key(_as_float, required=True),
                 "n_obs": Key(_as_int, default=20),
                 "seed": Key(_as_int, required=True),
-                "workers": Key(_as_int, default=1),
+                "workers": Key(_as_int, default=1),  # accepted from older configs; ignored
             },
             required=False,
         ),

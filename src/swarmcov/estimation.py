@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _pde_kernels as _pk
-from .errors import ConfigError, DegenerateFitError, NumericError
+from .errors import DegenerateFitError, NumericError
 from .fields import ScalarField, constant_diffusion_law, diffusion_coverage_law
 from .grids import Domain, Grid, GridFunction
 from .sde import SimConfig, SwarmState, UniformInit, simulate
@@ -452,7 +452,6 @@ def run_protocol(
     grid_cells: int = 100,
     max_iters: int = 2000,
     tol: float = 1e-12,
-    workers: int = 1,
 ) -> ProtocolResult:
     """Coverage phase, dispersion phase, observation, and inverse solve.
 
@@ -470,7 +469,6 @@ def run_protocol(
         seed=seed,
         snapshot_times=(T1,),
         initial=UniformInit(),
-        workers=workers,
     )
     settled = simulate(cfg1, laws_cov, domain)[-1]
     steps1 = int(np.ceil(T1 / dt_coverage - 1e-9))
@@ -482,7 +480,6 @@ def run_protocol(
         t_end=T2 - T1,
         seed=seed,
         snapshot_times=tuple(delta * k for k in range(1, n_obs + 1)),
-        workers=workers,
     )
     snaps = simulate(
         cfg2,
@@ -507,7 +504,7 @@ def run_protocol(
     est = solve_inverse(problem, max_iters=max_iters, tol=tol)
     mass = est.u_hat.mass()
     if mass <= 0:
-        raise ConfigError("inverse solve collapsed to zero mass; nothing to normalize")
+        raise NumericError("inverse solve collapsed to zero mass; nothing to normalize")
     est = Estimate(
         coefficients=est.coefficients / mass,
         u_hat=GridFunction(est.u_hat.grid, est.u_hat.values / mass),

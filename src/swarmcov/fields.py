@@ -24,8 +24,6 @@ __all__ = [
     "AnalyticField",
     "GridField",
     "ControlLaws",
-    "eval_field",
-    "eval_gradient",
     "field_mass",
     "normalize",
     "diffusion_coverage_law",
@@ -233,6 +231,21 @@ def quadratic_field() -> AnalyticField:
     return AnalyticField(Domain.unit_interval(), fn, grad_fn, floor=c * 0.01, label="quadratic")
 
 
+def _bump_values(pts: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Compactly supported bump exp(-1/(1 - |a*x - b|^2)), values only."""
+    z = a * pts - b
+    # |z|^2 column by column: the same additions as np.sum(z * z, axis=1),
+    # without a reduction over a short inner axis
+    u = z[:, 0] * z[:, 0]
+    for j in range(1, z.shape[1]):
+        u += z[:, j] * z[:, j]
+    inside = u < 1.0
+    f = np.zeros(pts.shape[0])
+    if inside.any():
+        f[inside] = np.exp(-1.0 / (1.0 - u[inside]))
+    return f
+
+
 def _bump_terms(pts: np.ndarray, a: float, b: float):
     """Compactly supported bump exp(-1/(1 - |a*x - b|^2)) and its gradient."""
     z = a * pts - b
@@ -265,8 +278,8 @@ def two_bump_field(background: float = 0.01) -> AnalyticField:
     a2, b2 = 6.0, 2.0
 
     def fn(pts):
-        f1, _ = _bump_terms(pts, a1, b1)
-        f2, _ = _bump_terms(pts, a2, b2)
+        f1 = _bump_values(pts, a1, b1)
+        f2 = _bump_values(pts, a2, b2)
         return np.maximum(f1 - f2, 0.0) + background
 
     def grad_fn(pts):
@@ -283,16 +296,6 @@ def two_bump_field(background: float = 0.01) -> AnalyticField:
 
 # ---------------------------------------------------------------------------
 # field operations
-
-
-def eval_field(field: ScalarField, x):
-    """Field value(s) at x; raises DomainError outside the field domain."""
-    return field.eval(x)
-
-
-def eval_gradient(field: ScalarField, x):
-    """Field gradient(s) at x as (d,) or (n, d)."""
-    return field.gradient(x)
 
 
 def field_mass(field: ScalarField, resolution: int = 1024) -> float:

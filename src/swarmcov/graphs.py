@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
-
 __all__ = [
     "Graph",
     "Trajectory",
@@ -223,13 +221,6 @@ def _gillespie_consume(indptr, indices, rates, u_hold, u_choice, v0, t0, t_end, 
     return count, v, t, False
 
 
-if NUMBA_ENABLED:
-    _gillespie_jit = njit(cache=True, nogil=True)(_gillespie_consume)
-    _gillespie = _gillespie_jit
-else:
-    _gillespie = _gillespie_consume
-
-
 def sample_ctmc(
     g: Graph,
     f,
@@ -270,7 +261,7 @@ def sample_ctmc(
         u_hold = rng.random(_BATCH)
         u_choice = rng.random(_BATCH)
         cap = _BATCH if remaining > _BATCH else int(remaining)
-        count, v, t, hit_end = _gillespie(
+        count, v, t, hit_end = _gillespie_consume(
             indptr, indices, rates, u_hold, u_choice, v, t, t_end, cap, out_t, out_v
         )
         if count:

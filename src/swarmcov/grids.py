@@ -32,6 +32,12 @@ def as_points(x, dim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"cannot interpret shape {pts.shape} as {dim}D points")
 
 
+def snapshot_steps(times, dt: float, n_steps: int) -> list[int]:
+    """Sorted step indices of the nearest step time >= each requested time,
+    clamped to [0, n_steps]."""
+    return sorted({min(max(int(np.ceil(t / dt - 1e-9)), 0), n_steps) for t in times})
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned box given as one (lo, hi) pair per axis."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import _pde_kernels as _pk
 from .errors import DegenerateFitError
 from .fields import ControlLaws
-from .grids import Grid, GridFunction
+from .grids import Grid, GridFunction, snapshot_steps
 
 __all__ = [
     "AdrCoefficients",
@@ -176,11 +176,6 @@ def step_adr(
     return GridFunction(grid, v1), GridFunction(grid, v2)
 
 
-def _snapshot_steps(times: Sequence[float], dt: float, n_steps: int) -> list[int]:
-    idx = sorted({min(max(int(np.ceil(t / dt - 1e-9)), 0), n_steps) for t in times})
-    return idx
-
-
 def solve(
     y0: GridFunction,
     coeffs: AdrCoefficients,
@@ -204,7 +199,7 @@ def solve(
 
     dt = safety * _max_stable_dt(coeffs)
     n_steps = int(np.ceil(t_end / dt - 1e-9))
-    snap_idx = _snapshot_steps(tuple(snapshot_times) + (t_end,), dt, n_steps)
+    snap_idx = snapshot_steps(tuple(snapshot_times) + (t_end,), dt, n_steps)
 
     keep_passive = coeffs.reactive or y2_init is not None
     use_adr = keep_passive or coeffs.a is not None

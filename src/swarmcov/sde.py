@@ -4,14 +4,12 @@ Each agent follows an Euler step of ``dX = a(X) dt + sqrt(2) D(X) dW`` with
 specular reflection at the domain walls, optionally interrupted by a two-state
 (moving/stopped) switching process with deactivation rate H(x) and
 reactivation rate k.  All randomness comes from counter-based streams keyed by
-(seed, step), so trajectories are bit-identical across repeat runs and across
-worker counts.
+(seed, step), so trajectories are bit-identical across repeat runs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence, Union
 
@@ -20,18 +18,16 @@ import numpy as np
 from . import _sde_kernels as _sk
 from .errors import ConfigError
 from .fields import ControlLaws
-from .grids import Domain, Grid, GridFunction, as_points
+from .grids import Domain, Grid, GridFunction, as_points, snapshot_steps
 
 __all__ = [
     "Mode",
-    "AgentState",
     "SwarmState",
     "GaussianInit",
     "UniformInit",
     "PointInit",
     "SimConfig",
     "reflect",
-    "step_agent",
     "simulate",
     "histogram",
     "tv_distance",
@@ -48,12 +44,6 @@ _INIT_TAG = np.uint64(2**63)
 class Mode(IntEnum):
     PASSIVE = 0
     ACTIVE = 1
-
-
-@dataclass
-class AgentState:
-    position: np.ndarray
-    mode: Mode = Mode.ACTIVE
 
 
 @dataclass
@@ -96,7 +86,6 @@ class SimConfig:
     seed: int
     snapshot_times: tuple[float, ...] = ()
     initial: InitialDistribution = UniformInit()
-    workers: int = 1
 
     def __post_init__(self):
         if self.n_agents < 1:
@@ -105,8 +94,6 @@ class SimConfig:
             raise ConfigError("dt must be positive")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         for t in self.snapshot_times:
             if not 0 <= t <= self.t_end:
                 raise ConfigError(f"snapshot time {t} outside [0, t_end]")
@@ -126,36 +113,6 @@ def reflect(x, domain: Domain):
     if domain.dim == 1 and np.asarray(x).ndim == 1:
         return out[:, 0]
     return out
-
-
-def step_agent(
-    state: AgentState,
-    laws: ControlLaws,
-    dt: float,
-    noise: np.ndarray,
-    uniform_draws: tuple[float, float],
-    domain: Domain,
-) -> AgentState:
-    """Advance a single agent by one step (reference path for the kernels).
-
-    Active agents move by ``a dt + sqrt(2 D^2 dt) * noise`` followed by one
-    reflection fold, then deactivate iff u1 < H(x)*dt with H taken at the
-    pre-step position.  Passive agents hold position and reactivate iff
-    u2 < k*dt.
-    """
-    pts = state.position.reshape(1, -1)
-    if state.mode == Mode.ACTIVE:
-        D = laws.D_at(pts)
-        a = laws.a_at(pts)
-        H = float(laws.H_at(pts)[0])
-        new = _sk.step_active_numpy(
-            pts, D, a, dt, np.asarray(noise, dtype=float).reshape(1, -1),
-            domain.lo, domain.hi,
-        )[0]
-        mode = Mode.PASSIVE if uniform_draws[0] < H * dt else Mode.ACTIVE
-        return AgentState(position=new, mode=mode)
-    mode = Mode.ACTIVE if uniform_draws[1] < laws.k * dt else Mode.PASSIVE
-    return AgentState(position=state.position.copy(), mode=mode)
 
 
 def _initial_positions(config: SimConfig, domain: Domain) -> np.ndarray:
@@ -193,15 +150,6 @@ def _probe_max(fn, domain: Domain, resolution: int = 128) -> float:
     return float(np.max(fn(grid.center_points())))
 
 
-def _snapshot_steps(times: Sequence[float], dt: float) -> dict[int, float]:
-    # nearest step time >= requested time
-    steps = {}
-    for t in times:
-        idx = int(np.ceil(t / dt - 1e-9))
-        steps.setdefault(max(idx, 0), None)
-    return {s: s * dt for s in sorted(steps)}
-
-
 def simulate(
     config: SimConfig,
     laws: ControlLaws,
@@ -236,62 +184,33 @@ def simulate(
         t0 = 0.0
 
     n_steps = int(np.ceil(config.t_end / dt - 1e-9)) if config.t_end > 0 else 0
-    snap_at = _snapshot_steps(config.snapshot_times, dt)
+    snap_at = set(snapshot_steps(config.snapshot_times, dt, n_steps))
     switching = switching or bool((modes == 0).any())
 
     lo, hi = domain.lo, domain.hi
     n = config.n_agents
-    chunks = _chunk_slices(n, config.workers)
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-
     out: list[SwarmState] = []
 
     def record(step: int):
         if step in snap_at:
             out.append(SwarmState(t0 + step * dt, positions.copy(), modes.copy()))
 
-    try:
-        record(0)
-        for step in range(1, n_steps + 1):
-            rng = _stream(config.seed, step_offset + step)
-            noise = rng.standard_normal((n, domain.dim))
-            D = laws.D_at(positions)
-            drift = laws.a_at(positions)
-            if switching:
-                unif = rng.random((n, 2))
-                H = laws.H_at(positions)
-                _run_chunks(
-                    pool,
-                    chunks,
-                    lambda s: _sk.step_switching(
-                        positions[s], modes[s], D[s], drift[s], H[s],
-                        laws.k, dt, noise[s], unif[s], lo, hi,
-                    ),
-                )
-            else:
-                def move(s):
-                    positions[s] = _sk.step_active(
-                        positions[s], D[s], drift[s], dt, noise[s], lo, hi
-                    )
-                _run_chunks(pool, chunks, move)
-            record(step)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    record(0)
+    for step in range(1, n_steps + 1):
+        rng = _stream(config.seed, step_offset + step)
+        noise = rng.standard_normal((n, domain.dim))
+        D = laws.D_at(positions)
+        drift = None if laws.a is None else laws.a_at(positions)
+        if switching:
+            unif = rng.random((n, 2))
+            H = laws.H_at(positions)
+            _sk.step_switching(
+                positions, modes, D, drift, H, laws.k, dt, noise, unif, lo, hi
+            )
+        else:
+            positions = _sk.step_active(positions, D, drift, dt, noise, lo, hi)
+        record(step)
     return out
-
-
-def _chunk_slices(n: int, workers: int) -> list[slice]:
-    bounds = np.linspace(0, n, min(workers, n) + 1).astype(int)
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
-def _run_chunks(pool, chunks, fn):
-    if pool is None or len(chunks) == 1:
-        for s in chunks:
-            fn(s)
-    else:
-        list(pool.map(fn, chunks))
 
 
 def histogram(state: Union[SwarmState, np.ndarray], grid: Grid) -> GridFunction:

@@ -76,7 +76,6 @@ def test_criterion_1_coverage_fidelity():
             seed=seed,
             snapshot_times=checkpoints,
             initial=GaussianInit((0.5, 0.5), 0.1),
-            workers=4,
         )
         states = simulate(cfg, laws, field.domain)
         tvs[seed] = [tv_distance(histogram(s, grid), target) for s in states]
@@ -159,7 +158,6 @@ def test_criterion_4_sde_pde_consistency():
         seed=4,
         snapshot_times=checkpoints,
         initial=GaussianInit((0.3,), 0.05),
-        workers=4,
     )
     states = simulate(cfg, laws, UNIT)
 
@@ -302,14 +300,14 @@ def _estimate_both_partitions(field, seed):
     laws = diffusion_coverage_law(field, 0.5)
     cfg1 = SimConfig(
         n_agents=n_agents, dt=2e-5, t_end=T1, seed=seed,
-        snapshot_times=(T1,), initial=UniformInit(), workers=4,
+        snapshot_times=(T1,), initial=UniformInit(),
     )
     settled = simulate(cfg1, laws, UNIT)[-1]
     steps1 = int(np.ceil(T1 / 2e-5 - 1e-9))
     delta = (T2 - T1) / n_obs
     cfg2 = SimConfig(
         n_agents=n_agents, dt=delta, t_end=T2 - T1, seed=seed,
-        snapshot_times=tuple(delta * k for k in range(1, n_obs + 1)), workers=4,
+        snapshot_times=tuple(delta * k for k in range(1, n_obs + 1)),
     )
     snaps = simulate(
         cfg2, constant_diffusion_law(np.sqrt(d)), UNIT,

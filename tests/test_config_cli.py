@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from swarmcov import ConfigError
+from swarmcov import ConfigError, Grid, GridFunction, NumericError, sine_field
+from swarmcov import estimation as est
 from swarmcov.cli import main
 from swarmcov.config import build_init, load_config
 from swarmcov.estimation import load_estimate_csv, load_observations_csv
@@ -242,6 +243,54 @@ dir = {tmp_path / "out"}
     )
     assert main(["estimate", "--config", cfg]) == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+def test_protocol_zero_mass_is_a_numeric_error(tmp_path, capsys, monkeypatch):
+    # a protocol solve that collapses to zero mass fails like the
+    # [observations] path: NumericError, exit 3
+    def vanishing(problem, **kwargs):
+        grid = Grid(problem.domain, (problem.grid_cells,))
+        return est.Estimate(np.zeros(problem.basis_size), GridFunction.full(grid, 0.0), [0.0])
+
+    monkeypatch.setattr(est, "solve_inverse", vanishing)
+    part = est.window_partition((0.7, 1.0), 10)
+    with pytest.raises(NumericError, match="zero mass"):
+        est.run_protocol(sine_field(), coverage_gain=0.5, d=0.05, T1=0.01, T2=0.11, n_agents=50,
+                         partition=part, seed=1, dt_coverage=1e-3, n_obs=2,
+                         basis_size=4, grid_cells=20)
+    cfg = _write(
+        tmp_path,
+        f"""
+[field]
+kind = sine
+
+[protocol]
+c1 = 0.5
+d = 0.05
+t1 = 0.01
+t2 = 0.11
+agents = 50
+dt_coverage = 1e-3
+n_obs = 2
+seed = 1
+
+[window]
+lo = 0.7
+hi = 1.0
+divisor = 10
+
+[inverse]
+cells = 20
+basis = 4
+
+[output]
+dir = {tmp_path / "out"}
+""",
+        name="est.cfg",
+    )
+    assert main(["estimate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "zero mass" in err
 
 
 def test_cli_exit_two_on_bad_init_spec(tmp_path, capsys):

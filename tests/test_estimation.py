@@ -455,7 +455,7 @@ def test_protocol_flat_field_recovers_uniform():
     res = run_protocol(flat, coverage_gain=1.0, d=0.05, T1=0.3, T2=2.3,
                        n_agents=10_000, partition=part, seed=5, dt_coverage=1e-3,
                        n_obs=10, lam=0.1, basis_size=10, grid_cells=100,
-                       max_iters=1000, tol=1e-12, workers=2)
+                       max_iters=1000, tol=1e-12)
     u = res.estimate.u_hat
     uniform = GridFunction(u.grid, np.ones(u.grid.shape))
     assert tv_distance(u, uniform) <= 0.1
@@ -467,8 +467,8 @@ def test_protocol_deterministic_given_seed():
     kwargs = dict(coverage_gain=0.5, d=0.05, T1=0.1, T2=1.1, n_agents=800,
                   partition=part, seed=21, dt_coverage=5e-4, n_obs=5, lam=0.1,
                   basis_size=8, grid_cells=60, max_iters=200, tol=1e-12)
-    a = run_protocol(field, workers=1, **kwargs)
-    b = run_protocol(field, workers=4, **kwargs)
+    a = run_protocol(field, **kwargs)
+    b = run_protocol(field, **kwargs)
     assert np.array_equal(a.estimate.u_hat.values, b.estimate.u_hat.values)
     assert np.array_equal(a.observations.fractions, b.observations.fractions)
 
@@ -484,7 +484,7 @@ def test_protocol_longer_settling_does_not_hurt():
             res = run_protocol(field, coverage_gain=0.7, d=0.05, T1=T1, T2=T1 + 3.0,
                                n_agents=10_000, partition=part, seed=seed,
                                dt_coverage=5e-5, n_obs=10, lam=0.1, basis_size=10,
-                               grid_cells=100, max_iters=1000, tol=1e-12, workers=4)
+                               grid_cells=100, max_iters=1000, tol=1e-12)
             u = res.estimate.u_hat
             xs = u.grid.centers(0)[:, None]
             F = field.eval(xs)

@@ -10,8 +10,6 @@ from swarmcov import (
     GridField,
     constant_diffusion_law,
     diffusion_coverage_law,
-    eval_field,
-    eval_gradient,
     field_mass,
     load_field_csv,
     normalize,
@@ -25,26 +23,26 @@ from swarmcov import (
 
 def test_sine_field_value_at_half():
     f = sine_field()  # ships with its analytic unit-mass constant baked in
-    assert eval_field(f, [0.5])[0] == pytest.approx(1.5619689393380463, rel=1e-12)
+    assert f.eval([0.5])[0] == pytest.approx(1.5619689393380463, rel=1e-12)
 
 
 def test_quadratic_field_value_at_zero():
     f = quadratic_field()
-    assert eval_field(f, [0.0])[0] == pytest.approx(0.02912621359223301, rel=1e-12)
+    assert f.eval([0.0])[0] == pytest.approx(0.02912621359223301, rel=1e-12)
 
 
 def test_two_bump_values():
     f = two_bump_field()
-    assert eval_field(f, [0.5, 0.5]) == pytest.approx(np.exp(-1) + 0.01, rel=1e-12)
+    assert f.eval([0.5, 0.5]) == pytest.approx(np.exp(-1) + 0.01, rel=1e-12)
     # second bump sits at (1/3, 1/3) where the first one has died off and the
     # difference clamps to the background
-    assert eval_field(f, [1 / 3, 1 / 3]) == pytest.approx(0.01, abs=1e-15)
+    assert f.eval([1 / 3, 1 / 3]) == pytest.approx(0.01, abs=1e-15)
 
 
 def test_eval_outside_domain_raises():
     f = sine_field()
     with pytest.raises(DomainError):
-        eval_field(f, [1.5])
+        f.eval([1.5])
 
 
 def test_floor_positivity_random_points():
@@ -161,4 +159,4 @@ def test_eval_gradient_matches_formula():
     f = quadratic_field()
     x = np.array([0.4])
     c2 = 1.0 / (1.0 / 3.0 + 0.01)
-    assert eval_gradient(f, x)[0] == pytest.approx(2 * 0.4 * c2, rel=1e-12)
+    assert f.gradient(x)[0] == pytest.approx(2 * 0.4 * c2, rel=1e-12)

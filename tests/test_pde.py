@@ -295,21 +295,7 @@ def test_long_horizon_reaches_one_over_w(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 1D diffusion kernel lanes
-
-
-@pytest.mark.parametrize("shape", [(8,), (8, 3)])
-def test_march_1d_loop_twin_bitwise_equals_numpy(shape):
-    # the loop twin is what numba compiles; run as plain Python it must give
-    # the numpy lane's bits, for one state and for a stack of columns
-    rng = np.random.default_rng(5)
-    y = rng.random(shape)
-    w = rng.random(8) + 0.5
-    h = 1.0 / 8
-    dt = 0.9 * h * h / (2.0 * w.max())
-    got = pk._march_diffusion_1d_loop(y, w, h, dt, 25)
-    assert got.shape == shape
-    assert np.array_equal(got, pk.march_diffusion_1d_numpy(y, w, h, dt, 25))
+# 1D diffusion kernel: batched columns
 
 
 def test_march_1d_batched_columns_bitwise_equal_single_marches():

@@ -1,0 +1,85 @@
+"""Property tests for the agent-step kernels and the two-bump field."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from swarmcov import _sde_kernels as sk
+from swarmcov.fields import _bump_terms, two_bump_field
+
+# magnitudes stay far from overflow of x - lo and 2 * span
+coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+far = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+span_st = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def boxed_points(draw):
+    """(x, lo, hi): (n, d) points mixing far-away values, the box faces
+    themselves, signed zeros and interior points, in a box whose lo may be
+    zero, -0.0 or anything else."""
+    d = draw(st.integers(1, 2))
+    lo = np.array([draw(st.one_of(st.just(0.0), st.just(-0.0), coord)) for _ in range(d)])
+    hi = lo + np.array([draw(span_st) for _ in range(d)])
+    n = draw(st.integers(1, 40))
+    picks = []
+    for _ in range(n * d):
+        j = len(picks) % d
+        picks.append(
+            draw(
+                st.one_of(
+                    far,
+                    st.sampled_from([lo[j], hi[j], -0.0, 0.0]),
+                    st.floats(lo[j], hi[j]),
+                )
+            )
+        )
+    return np.array(picks).reshape(n, d), lo, hi
+
+
+def _reflect_every_element(x, lo, hi):
+    # the fold applied to every coordinate, inside the box or not
+    span = hi - lo
+    m = np.mod(x - lo, 2.0 * span)
+    return lo + np.where(m > span, 2.0 * span - m, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_points())
+def test_reflect_matches_folding_every_element(case):
+    x, lo, hi = case
+    got = sk.reflect_numpy(x.copy(), lo, hi)
+    assert got.tobytes() == _reflect_every_element(x, lo, hi).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_points())
+def test_reflect_lands_in_box_and_is_idempotent(case):
+    x, lo, hi = case
+    once = sk.reflect_numpy(x, lo, hi)
+    assert np.all(once >= lo) and np.all(once <= hi)
+    assert sk.reflect_numpy(once, lo, hi).tobytes() == once.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_points(), st.floats(1e-8, 1e3), st.integers(0, 2**32 - 1))
+def test_step_without_drift_equals_zero_drift(case, dt, seed):
+    pos, lo, hi = case
+    rng = np.random.default_rng(seed)
+    D = rng.random(pos.shape[0]) * 10.0
+    noise = rng.standard_normal(pos.shape)
+    none = sk.step_active_numpy(pos, D, None, dt, noise, lo, hi)
+    zero = sk.step_active_numpy(pos, D, np.zeros_like(pos), dt, noise, lo, hi)
+    assert none.tobytes() == zero.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 60), st.just(2)),
+                  elements=st.floats(0.0, 1.0)))
+def test_two_bump_values_match_bump_terms(pts):
+    field = two_bump_field()
+    f1, _ = _bump_terms(pts, 2.0, 1.0)
+    f2, _ = _bump_terms(pts, 6.0, 2.0)
+    expected = np.maximum(f1 - f2, 0.0) + 0.01
+    assert field.eval(pts).tobytes() == expected.tobytes()

@@ -1,9 +1,5 @@
 """Agent simulation: reflection, stepping, determinism, histograms, CSV."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -181,26 +177,16 @@ def test_gaussian_init_inside_domain():
 # determinism
 
 
-def _determinism_config(workers):
+def _determinism_config():
     return SimConfig(n_agents=4000, dt=1e-3, t_end=0.05, seed=42,
-                     snapshot_times=(0.02, 0.05), initial=UniformInit(), workers=workers)
+                     snapshot_times=(0.02, 0.05), initial=UniformInit())
 
 
 def test_repeat_run_bit_identical():
     field = sine_field()
     laws = diffusion_coverage_law(field, 0.05)
-    a = _run(_determinism_config(1), laws)
-    b = _run(_determinism_config(1), laws)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.positions, sb.positions)
-        assert np.array_equal(sa.modes, sb.modes)
-
-
-def test_worker_count_invariance():
-    field = sine_field()
-    laws = diffusion_coverage_law(field, 0.05)
-    a = _run(_determinism_config(1), laws)
-    b = _run(_determinism_config(8), laws)
+    a = _run(_determinism_config(), laws)
+    b = _run(_determinism_config(), laws)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.positions, sb.positions)
         assert np.array_equal(sa.modes, sb.modes)
@@ -223,23 +209,6 @@ def test_step_offset_resumes_stream():
     )
     assert np.array_equal(full[0].positions, head[0].positions)
     assert np.array_equal(full[1].positions, tail[0].positions)
-
-
-def test_numpy_lane_matches_numba_lane():
-    code = (
-        "import numpy as np, swarmcov as sc\n"
-        "laws = sc.diffusion_coverage_law(sc.sine_field(), 0.05)\n"
-        "cfg = sc.SimConfig(n_agents=500, dt=1e-3, t_end=0.02, seed=13, snapshot_times=(0.02,))\n"
-        "(s,) = sc.simulate(cfg, laws, sc.Domain.unit_interval())\n"
-        "print(repr(s.positions.tobytes().hex()))\n"
-    )
-    outs = []
-    for disable in ("0", "1"):
-        env = dict(os.environ, SWARMCOV_NO_NUMBA=disable)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout.strip())
-    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +297,7 @@ def test_snapshots_csv_roundtrip(tmp_path):
 def test_histogram_series_csv_roundtrip(tmp_path):
     laws = constant_diffusion_law(0.1)
     cfg = SimConfig(n_agents=200, dt=1e-3, t_end=0.01, seed=1, snapshot_times=(0.005, 0.01),
-                    initial=UniformInit(), workers=1)
+                    initial=UniformInit())
     snaps = simulate(cfg, laws, UNIT)
     grid = Grid(UNIT, (10,))
     series = [(s.time, histogram(s, grid)) for s in snaps]
