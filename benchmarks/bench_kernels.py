@@ -5,6 +5,8 @@ Results are medians over repeats, after one warm-up call.  The agent-step
 rows run at the sizes the CLI steps: 1e5 agents in 2D (coverage) and 1e4 in
 1D (the estimation protocol), both with zero drift as the diffusion coverage
 law has.  The batched 1D march must equal the single-column marches bitwise.
+The graph rows sample a jump chain at the size the solvers benchmark's random
+graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps) and write it as CSV.
 
 Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--steps N]
        [--repeats N]
@@ -13,12 +15,15 @@ Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--steps N]
 from __future__ import annotations
 
 import argparse
+import os
+import tempfile
 import time
 
 import numpy as np
 
 from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
+from swarmcov import graphs as gr
 from swarmcov import two_bump_field
 
 
@@ -96,8 +101,19 @@ def main() -> None:
             [march(yb[:, j], wb, hb, dtb, args.steps) for j in range(nbasis)], axis=1
         )
 
+    # the graph chain: a seeded 50-vertex, 99-edge random graph
+    graph = gr.random_connected_graph(50, 50, np.random.default_rng(4))
+    assert len(graph.edges) == 99
+    gf = rng.uniform(0.5, 2.0, 50)
+    jumps = 300_000
+    chain = gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)
+    tmpdir = tempfile.TemporaryDirectory()
+    csv_path = os.path.join(tmpdir.name, "trajectory.csv")
+
     single = f"FV march 1D, {nbasis} single ({nb} cells)"
     batched = f"FV march 1D, batched ({nb}x{nbasis} cells)"
+    sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
+    writer = f"trajectory_to_csv ({jumps:,} jumps)"
 
     cases = [
         ("SDE active step (100,000 agents, 2D)", step(100_000, 2)),
@@ -115,6 +131,8 @@ def main() -> None:
             f"FV diffusion march 2D ({n2}x{n2} cells x {args.steps} steps)",
             lambda: pk.march_diffusion_2d(y2, w2, h2, h2, dt2, args.steps),
         ),
+        (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
+        (writer, lambda: gr.trajectory_to_csv(chain, csv_path)),
     ]
 
     print(f"{'kernel':<45} {'median':>10}")
@@ -128,6 +146,10 @@ def main() -> None:
         raise SystemExit("batched 1D march differs from the single-column marches")
     print(f"batched 1D march: {times[single] / times[batched]:.1f}x faster than "
           f"{nbasis} single-column marches")
+    print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
+          f"{times[writer] / jumps * 1e6:.3f} us per row written "
+          f"({os.path.getsize(csv_path):,} B)")
+    tmpdir.cleanup()
 
 
 if __name__ == "__main__":

@@ -251,6 +251,21 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
         raise ConfigError("rate constant c must be positive")
     if exponent not in (1, -1):
         raise ConfigError("exponent must be +1 or -1")
+    if "sample" in cfg:
+        # checked before any artifact is written
+        samp = cfg["sample"]
+        t_end, max_jumps = samp["t_end"], samp["max_jumps"]
+        if not t_end > 0:
+            raise ConfigError("sample t_end must be positive")
+        if max_jumps is not None and max_jumps < 1:
+            raise ConfigError("sample max_jumps must be at least 1")
+        if not np.isfinite(t_end):
+            if max_jumps is None:
+                raise ConfigError("sampling needs a finite t_end or a max_jumps cap")
+            if g.n_vertices == 1:
+                raise ConfigError("a one-vertex graph never jumps: sampling needs a finite t_end")
+        if not 0 <= samp["start"] < g.n_vertices:
+            raise ConfigError("sample start vertex out of range")
 
     pi = gr.invariant_distribution(g, f, exponent)
     residual = gr.laplacian(g) @ (c * f ** float(exponent) * pi)
@@ -279,10 +294,6 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
         samp = cfg["sample"]
         run_seed = samp["seed"] if seed is None else seed
         t_end = samp["t_end"]
-        if not np.isfinite(t_end) and samp["max_jumps"] is None:
-            raise ConfigError("sampling needs a finite t_end or a max_jumps cap")
-        if not 0 <= samp["start"] < g.n_vertices:
-            raise ConfigError("sample start vertex out of range")
         traj = gr.sample_ctmc(
             g, f, c, samp["start"], t_end, run_seed, exponent, samp["max_jumps"]
         )

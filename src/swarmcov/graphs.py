@@ -33,7 +33,9 @@ __all__ = [
     "load_trajectory_csv",
 ]
 
-_BATCH = 1 << 16
+_BATCH = 1 << 16  # uniforms drawn per batch, for holding times and choices alike
+_CHAIN_SLICE = 8192  # jumps walked per Python list
+_CSV_ROWS = 8192  # trajectory rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return [np.array(sorted(a), dtype=np.int64) for a in adj]
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        lists = self.neighbor_lists()
-        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        for i, a in enumerate(lists):
-            indptr[i + 1] = indptr[i] + len(a)
-        indices = np.concatenate(lists) if self.edges else np.empty(0, dtype=np.int64)
-        return indptr, indices
 
     @property
     def degrees(self) -> np.ndarray:
@@ -198,29 +192,6 @@ def propagate(
     return out[0] if np.ndim(t) == 0 else out
 
 
-def _gillespie_consume(indptr, indices, rates, u_hold, u_choice, v0, t0, t_end, cap,
-                       out_t, out_v):
-    """Consume pre-drawn uniforms; returns (events, vertex, time, hit_end)."""
-    v = v0
-    t = t0
-    count = 0
-    for b in range(u_hold.shape[0]):
-        if count >= cap:
-            break
-        t = t + (-np.log(u_hold[b]) / rates[v])
-        if t > t_end:
-            return count, v, t, True
-        deg = indptr[v + 1] - indptr[v]
-        j = int(u_choice[b] * deg)
-        if j >= deg:
-            j = deg - 1
-        v = indices[indptr[v] + j]
-        out_t[count] = t
-        out_v[count] = v
-        count += 1
-    return count, v, t, False
-
-
 def sample_ctmc(
     g: Graph,
     f,
@@ -234,7 +205,10 @@ def sample_ctmc(
     """Sample one chain path by the direct (next-event) method.
 
     Stops at the first jump past t_end or after max_jumps jumps, whichever
-    comes first.
+    comes first.  Uniforms are drawn _BATCH holding times and _BATCH choices
+    at a time.  Only the vertex chain is a Python loop; the holding times
+    and their running sum (sequential, so each jump time is the rounded
+    t + hold of a per-jump loop) are whole-batch numpy expressions.
     """
     f = _check_field(g, f)
     e = _check_exponent(exponent)
@@ -247,7 +221,8 @@ def sample_ctmc(
     if g.n_vertices == 1:
         return Trajectory(np.array([0.0]), np.array([start], dtype=np.int64))
 
-    indptr, indices = g.csr()
+    nbrs = [a.tolist() for a in g.neighbor_lists()]
+    degs = [len(a) for a in nbrs]
     rates = c * f**float(e) * g.degrees.astype(float)
     rng = np.random.default_rng(seed)
 
@@ -255,21 +230,38 @@ def sample_ctmc(
     verts = [np.array([start], dtype=np.int64)]
     v, t = start, 0.0
     remaining = np.inf if max_jumps is None else int(max_jumps)
-    out_t = np.empty(_BATCH)
-    out_v = np.empty(_BATCH, dtype=np.int64)
     while remaining > 0:
         u_hold = rng.random(_BATCH)
         u_choice = rng.random(_BATCH)
         cap = _BATCH if remaining > _BATCH else int(remaining)
-        count, v, t, hit_end = _gillespie_consume(
-            indptr, indices, rates, u_hold, u_choice, v, t, t_end, cap, out_t, out_v
-        )
-        if count:
-            times.append(out_t[:count].copy())
-            verts.append(out_v[:count].copy())
-        remaining -= count
-        if hit_end:
+        # path[k] is the vertex held before jump k and path[k + 1] the one
+        # it enters; the walk goes _CHAIN_SLICE jumps at a time to bound its lists
+        path = np.empty(cap + 1, dtype=np.int64)
+        path[0] = v
+        for lo in range(0, cap, _CHAIN_SLICE):
+            hi = min(lo + _CHAIN_SLICE, cap)
+            walk = []
+            step = walk.append
+            for u in u_choice[lo:hi].tolist():
+                deg = degs[v]
+                j = int(u * deg)
+                if j >= deg:
+                    j = deg - 1
+                v = nbrs[v][j]
+                step(v)
+            path[lo + 1 : hi + 1] = walk
+        jump_t = np.empty(cap + 1)
+        jump_t[0] = t
+        jump_t[1:] = -np.log(u_hold[:cap]) / rates[path[:cap]]
+        np.cumsum(jump_t, out=jump_t)
+        past = np.flatnonzero(jump_t[1:] > t_end)
+        count = int(past[0]) if past.size else cap
+        times.append(jump_t[1 : count + 1])
+        verts.append(path[1 : count + 1])
+        if past.size:
             break
+        t = jump_t[cap]
+        remaining -= cap
     return Trajectory(np.concatenate(times), np.concatenate(verts))
 
 
@@ -334,10 +326,15 @@ def load_edge_list(path, n_vertices: Optional[int] = None) -> Graph:
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """Write one "t,vertex" row per jump, times at 17 significant digits."""
     with open(path, "w") as fh:
         fh.write("t,vertex\n")
-        for t, v in zip(traj.times, traj.vertices):
-            fh.write(f"{t:.17g},{int(v)}\n")
+        for lo in range(0, len(traj.times), _CSV_ROWS):
+            t = traj.times[lo : lo + _CSV_ROWS].tolist()
+            cells = [None] * (2 * len(t))
+            cells[::2] = t
+            cells[1::2] = traj.vertices[lo : lo + _CSV_ROWS].tolist()
+            fh.write(("%.17g,%d\n" * len(t)) % tuple(cells))
 
 
 def load_trajectory_csv(path) -> Trajectory:

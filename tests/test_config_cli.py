@@ -326,6 +326,43 @@ def test_cli_exit_two_on_non_finite_value(tmp_path, capsys, subcommand, old, new
     assert not (tmp_path / "out").exists()
 
 
+ONE_VERTEX = [("n = 3", "n = 1"), ("1.0, 2.0, 1.5", "1.0")]
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        pytest.param([("max_jumps = 500", "max_jumps = 0")], "max_jumps", id="max_jumps-zero"),
+        pytest.param([("max_jumps = 500", "max_jumps = -5")], "max_jumps", id="max_jumps-negative"),
+        pytest.param([("seed = 7", "seed = 7\nt_end = 0")], "t_end", id="t_end-zero"),
+        pytest.param([("seed = 7", "seed = 7\nt_end = -1")], "t_end", id="t_end-negative"),
+        pytest.param(ONE_VERTEX, "one-vertex", id="one-vertex-no-t_end"),
+    ],
+)
+def test_cli_exit_two_on_empty_sampling(tmp_path, capsys, edits, message):
+    # each of these samples no jump or no time: occupation has no horizon
+    text = MINIMAL_GRAPH
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    path = _write(tmp_path, text, out=str(out))
+    assert main(["graph", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_one_vertex_graph_samples_to_a_finite_t_end(tmp_path):
+    text = MINIMAL_GRAPH
+    for old, new in ONE_VERTEX + [("seed = 7", "seed = 7\nt_end = 2.5")]:
+        text = text.replace(old, new)
+    path = _write(tmp_path, text, out=str(tmp_path / "out"))
+    assert main(["graph", "--config", path]) == 0
+    assert (tmp_path / "out" / "occupation.csv").read_text() == "vertex,occupation\n0,1\n"
+
+
 def test_graph_sample_t_end_accepts_inf(tmp_path):
     # the one key that opts in: sampling may run until its jump cap
     text = MINIMAL_GRAPH.replace("seed = 7", "seed = 7\nt_end = inf")

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swarmcov import graphs as gr
 from swarmcov import (
     Domain,
     Graph,
@@ -197,3 +200,173 @@ def test_trajectory_csv_roundtrip(tmp_path):
     back = load_trajectory_csv(path)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.vertices, traj.vertices)
+
+
+# ---------------------------------------------------------------------------
+# the sampler and the writer against their per-jump / per-row references
+
+
+def _reference_consume(indptr, indices, rates, u_hold, u_choice, v0, t0, t_end, cap,
+                       out_t, out_v):
+    # one Python iteration per jump on numpy scalars
+    v = v0
+    t = t0
+    count = 0
+    for b in range(u_hold.shape[0]):
+        if count >= cap:
+            break
+        t = t + (-np.log(u_hold[b]) / rates[v])
+        if t > t_end:
+            return count, v, t, True
+        deg = indptr[v + 1] - indptr[v]
+        j = int(u_choice[b] * deg)
+        if j >= deg:
+            j = deg - 1
+        v = indices[indptr[v] + j]
+        out_t[count] = t
+        out_v[count] = v
+        count += 1
+    return count, v, t, False
+
+
+def _reference_sample(g, f, c, start, t_end, seed, exponent=1, max_jumps=None, batch=gr._BATCH):
+    if g.n_vertices == 1:
+        return Trajectory(np.array([0.0]), np.array([start], dtype=np.int64))
+    lists = g.neighbor_lists()
+    indptr = np.concatenate([[0], np.cumsum([len(a) for a in lists])]).astype(np.int64)
+    indices = np.concatenate(lists)
+    rates = c * np.asarray(f, dtype=float) ** float(exponent) * g.degrees.astype(float)
+    rng = np.random.default_rng(seed)
+    times = [np.array([0.0])]
+    verts = [np.array([start], dtype=np.int64)]
+    v, t = start, 0.0
+    remaining = np.inf if max_jumps is None else int(max_jumps)
+    out_t = np.empty(batch)
+    out_v = np.empty(batch, dtype=np.int64)
+    while remaining > 0:
+        u_hold = rng.random(batch)
+        u_choice = rng.random(batch)
+        cap = batch if remaining > batch else int(remaining)
+        count, v, t, hit_end = _reference_consume(
+            indptr, indices, rates, u_hold, u_choice, v, t, t_end, cap, out_t, out_v
+        )
+        if count:
+            times.append(out_t[:count].copy())
+            verts.append(out_v[:count].copy())
+        remaining -= count
+        if hit_end:
+            break
+    return Trajectory(np.concatenate(times), np.concatenate(verts))
+
+
+def _reference_csv(traj, path):
+    with open(path, "w") as fh:
+        fh.write("t,vertex\n")
+        for t, v in zip(traj.times, traj.vertices):
+            fh.write(f"{t:.17g},{int(v)}\n")
+
+
+def _assert_same_path(got, want):
+    assert got.times.dtype == want.times.dtype and got.vertices.dtype == want.vertices.dtype
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.vertices, want.vertices)
+
+
+@st.composite
+def chain_cases(draw):
+    """A graph, a field, an exponent and a stop rule, sampled with small
+    batches and chain slices so that t_end and the jump cap fall in the
+    first batch, on a boundary, or several batches in."""
+    kind = draw(st.sampled_from(["path", "complete", "random"]))
+    n = draw(st.integers(2, 9))
+    if kind == "path":
+        g = path_graph(n)
+    elif kind == "complete":
+        g = complete_graph(n)
+    else:
+        g = random_connected_graph(n, draw(st.integers(0, n)), np.random.default_rng(draw(st.integers(0, 99))))
+    f = [draw(st.floats(0.05, 20.0)) for _ in range(n)]
+    exponent = draw(st.sampled_from([1, -1]))
+    max_jumps = draw(st.one_of(st.none(), st.integers(1, 120)))
+    if max_jumps is None:
+        t_end = draw(st.floats(0.0, 30.0))
+    else:
+        t_end = draw(st.one_of(st.just(np.inf), st.floats(0.0, 30.0)))
+    batch = draw(st.integers(1, 40))
+    chain_slice = draw(st.integers(1, 40))
+    return g, f, exponent, t_end, max_jumps, batch, chain_slice, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_cases())
+def test_sample_ctmc_matches_per_jump_reference(case):
+    g, f, exponent, t_end, max_jumps, batch, chain_slice, seed = case
+    want = _reference_sample(g, f, 0.7, 0, t_end, seed, exponent, max_jumps, batch=batch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_BATCH", batch)
+        mp.setattr(gr, "_CHAIN_SLICE", chain_slice)
+        got = sample_ctmc(g, f, 0.7, 0, t_end, seed, exponent, max_jumps)
+    _assert_same_path(got, want)
+
+
+@pytest.mark.parametrize(
+    "max_jumps",
+    [1, gr._BATCH - 1, gr._BATCH, gr._BATCH + 1, 2 * gr._BATCH + 3],
+)
+def test_sample_ctmc_matches_reference_at_batch_edges(max_jumps):
+    rng = np.random.default_rng(max_jumps)
+    g = random_connected_graph(12, 10, rng)
+    f = rng.uniform(0.5, 2.0, 12)
+    want = _reference_sample(g, f, 1.0, 3, np.inf, 17, -1, max_jumps)
+    got = sample_ctmc(g, f, 1.0, 3, np.inf, 17, -1, max_jumps)
+    assert got.n_jumps == max_jumps
+    _assert_same_path(got, want)
+
+
+@pytest.mark.parametrize("batches", [0.5, 2.5], ids=["first-batch", "third-batch"])
+def test_sample_ctmc_matches_reference_when_t_end_stops_it(batches):
+    # unit rates: about one jump per unit time, so t_end ends batch 1 or 3
+    g = path_graph(2)
+    t_end = batches * gr._BATCH
+    want = _reference_sample(g, [1.0, 1.0], 1.0, 0, t_end, 23)
+    got = sample_ctmc(g, [1.0, 1.0], 1.0, 0, t_end, 23)
+    assert int(batches) * gr._BATCH < got.n_jumps < (int(batches) + 1) * gr._BATCH
+    assert got.times[-1] <= t_end
+    _assert_same_path(got, want)
+
+
+def test_sample_ctmc_clamps_a_choice_of_one(monkeypatch):
+    # Generator.random never returns 1.0 (u < 1 gives int(u * deg) < deg),
+    # so a stub that does checks the clamp onto the last neighbor
+    real = np.random.default_rng
+
+    class OnesEveryThird:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def random(self, size):
+            u = self._rng.random(size)
+            u[::3] = 1.0
+            return u
+
+    monkeypatch.setattr(np.random, "default_rng", OnesEveryThird)
+    g = random_connected_graph(7, 6, real(2))
+    f = np.linspace(0.5, 2.0, 7)
+    want = _reference_sample(g, f, 1.0, 0, np.inf, 5, 1, 50, batch=16)
+    monkeypatch.setattr(gr, "_BATCH", 16)
+    _assert_same_path(sample_ctmc(g, f, 1.0, 0, np.inf, 5, 1, 50), want)
+
+
+def test_trajectory_csv_bytes_match_per_row_writer(tmp_path):
+    # longer than one write chunk, with the float values hardest to print
+    g = random_connected_graph(30, 20, np.random.default_rng(8))
+    n = 3 * gr._CSV_ROWS + 5
+    traj = sample_ctmc(g, np.linspace(0.2, 3.0, 30), 1.0, 0, np.inf, 31, -1, n - 1)
+    special = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e22, 1.7976931348623157e308, np.inf]
+    traj.times[1 : 1 + len(special)] = special
+    traj.times[gr._CSV_ROWS - 1 : gr._CSV_ROWS + 1] = [np.nextafter(2.0, 3.0), 123456789.125]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    trajectory_to_csv(traj, got)
+    _reference_csv(traj, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\n") == n + 1
