@@ -4,7 +4,11 @@
 Results are medians over repeats, after one warm-up call.  The agent-step
 rows run at the sizes the CLI steps: 1e5 agents in 2D (coverage) and 1e4 in
 1D (the estimation protocol), both with zero drift as the diffusion coverage
-law has.  The batched 1D march must equal the single-column marches bitwise.
+law has.  The inverse-solve rows run at the est_sin settings (25 observation
+times over 50 time units, d = 0.005, 100 cells, 10 hats, the 30-cell fine
+window partition): the spectral forward map, the solve with NNLS, and the
+per-column finite-volume marches the map replaces, which it must match to
+1e-11 relative.
 The graph rows sample a jump chain at the size the solvers benchmark's random
 graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps) and write it as CSV.
 
@@ -23,8 +27,10 @@ import numpy as np
 
 from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
+from swarmcov import estimation as est
 from swarmcov import graphs as gr
 from swarmcov import two_bump_field
+from swarmcov.grids import Domain
 
 
 def median_time(fn, repeats: int) -> float:
@@ -78,13 +84,11 @@ def main() -> None:
     w2 = rng.random((n2, n2)) + 0.5
     h2 = 1.0 / n2
     dt2 = 0.9 / (2.0 * 2.0 * w2.max() * 2.0 / (h2 * h2))
-    # the inverse solve's assembly: 100 cells, one column per hat function
-    nb = 100
-    nbasis = 10  # basis_size of the bundled est_*.cfg
-    yb = rng.random((nb, nbasis)) + 0.5
-    wb = rng.random(nb) + 0.5
-    hb = 1.0 / nb
-    dtb = 0.9 * hb * hb / (2.0 * wb.max())
+    # the inverse solve at est_sin settings, on random window fractions
+    part = est.window_partition((0.7, 1.0), 100)
+    obs_times = est.uniform_times(2.0, 52.0, 25)
+    obs = est.ObservationSeries(obs_times, rng.random((25, part.n_cells)) * 0.01, 10_000, part)
+    problem = est.EstimationProblem(Domain.unit_interval(), 100, 10, 0.005, 0.1, 2.0, 52.0, obs)
 
     def switching(kernel):
         # the kernel updates pos and modes in place: step copies, return them
@@ -95,11 +99,20 @@ def main() -> None:
 
         return run
 
-    def columns(march):
-        # one march per column, stacked as the batched march returns them
-        return lambda: np.stack(
-            [march(yb[:, j], wb, hb, dtb, args.steps) for j in range(nbasis)], axis=1
-        )
+    def marched_map():
+        # the forward map the spectral one replaces: each hat function marched
+        # alone to every observation step, then integrated over the cells
+        plan = est._Plan(problem)
+        w = np.full(problem.grid_cells, problem.d)
+        columns = []
+        for hat in plan.basis.T:
+            u, prev, blocks = hat, 0, []
+            for s in plan.obs_steps:
+                u = pk.march_diffusion_1d(u, w, plan.h, plan.dt, int(s) - prev)
+                prev = int(s)
+                blocks.append(plan.overlap @ u)
+            columns.append(np.concatenate(blocks))
+        return np.stack(columns, axis=1)
 
     # the graph chain: a seeded 50-vertex, 99-edge random graph
     graph = gr.random_connected_graph(50, 50, np.random.default_rng(4))
@@ -110,8 +123,9 @@ def main() -> None:
     tmpdir = tempfile.TemporaryDirectory()
     csv_path = os.path.join(tmpdir.name, "trajectory.csv")
 
-    single = f"FV march 1D, {nbasis} single ({nb} cells)"
-    batched = f"FV march 1D, batched ({nb}x{nbasis} cells)"
+    marched = f"inverse map, 10 marched hats ({est._Plan(problem).n_steps} steps)"
+    spectral = "inverse map, spectral (100 cells, 10 hats)"
+    solve = "solve_inverse, spectral map + NNLS"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
     writer = f"trajectory_to_csv ({jumps:,} jumps)"
 
@@ -125,8 +139,9 @@ def main() -> None:
             f"FV diffusion march 1D ({nc} cells x {args.steps} steps)",
             lambda: pk.march_diffusion_1d(y1, w1, h, dt1, args.steps),
         ),
-        (single, columns(pk.march_diffusion_1d)),
-        (batched, lambda: pk.march_diffusion_1d(yb, wb, hb, dtb, args.steps)),
+        (marched, marched_map),
+        (spectral, lambda: est._Plan(problem).forward_map),
+        (solve, lambda: est.solve_inverse(problem)),
         (
             f"FV diffusion march 2D ({n2}x{n2} cells x {args.steps} steps)",
             lambda: pk.march_diffusion_2d(y2, w2, h2, h2, dt2, args.steps),
@@ -141,11 +156,13 @@ def main() -> None:
         times[label] = median_time(fn, args.repeats)
         print(f"{label:<45} {times[label] * 1e3:>8.2f}ms")
 
-    if not np.array_equal(pk.march_diffusion_1d(yb, wb, hb, dtb, args.steps),
-                          columns(pk.march_diffusion_1d)()):
-        raise SystemExit("batched 1D march differs from the single-column marches")
-    print(f"batched 1D march: {times[single] / times[batched]:.1f}x faster than "
-          f"{nbasis} single-column marches")
+    reference = marched_map()
+    rel = np.abs(est._Plan(problem).forward_map - reference).max() / np.abs(reference).max()
+    if rel > 1e-11:
+        raise SystemExit(f"spectral map differs from the marched one by {rel:.1e} relative")
+    print(f"inverse map: spectral {times[marched] / times[spectral]:.0f}x faster than the "
+          f"marched columns, {rel:.1e} largest relative difference; the solve adds "
+          f"{(times[solve] - times[spectral]) * 1e3:.2f} ms to the map (stacking, NNLS, KKT)")
     print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
           f"{times[writer] / jumps * 1e6:.3f} us per row written "
           f"({os.path.getsize(csv_path):,} B)")

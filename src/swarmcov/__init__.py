@@ -67,7 +67,6 @@ from .estimation import (
     objective,
     observe,
     predict,
-    project,
     rescale_with_known,
     run_protocol,
     save_estimate_csv,

@@ -15,14 +15,9 @@ import numpy as np
 
 
 def march_diffusion_1d_numpy(y, w, h, dt, nsteps):
-    """March a (cells,) state, or a (cells, B) stack of states column by
-    column; each element sees the same operations in the same order either
-    way, so a marched column is bitwise equal to marching it alone."""
     out = y.copy()
-    n = out.shape[0]
-    w = w.reshape((n,) + (1,) * (out.ndim - 1))
     g = np.empty_like(out)
-    q = np.zeros((n + 1,) + out.shape[1:])
+    q = np.zeros(out.shape[0] + 1)
     div = np.empty_like(out)
     for _ in range(nsteps):
         np.multiply(w, out, out=g)

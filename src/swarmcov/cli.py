@@ -251,6 +251,11 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
         raise ConfigError("rate constant c must be positive")
     if exponent not in (1, -1):
         raise ConfigError("exponent must be +1 or -1")
+    with np.errstate(over="ignore", under="ignore"):
+        rates = c * f ** float(exponent) * g.degrees
+    # a one-vertex graph has degree 0 and never jumps
+    if not (np.isfinite(rates).all() and (rates > 0)[g.degrees > 0].all()):
+        raise ConfigError("jump rates c * f**exponent * degree must be finite and positive")
     if "sample" in cfg:
         # checked before any artifact is written
         samp = cfg["sample"]
@@ -340,6 +345,8 @@ def cmd_estimate(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> Non
     if ("protocol" in cfg) == ("observations" in cfg):
         raise ConfigError("give exactly one of [protocol] or [observations]")
     inverse = _section(cfg, "estimate", "inverse")
+    if inverse["max_iters"] < 1:
+        raise ConfigError("inverse max_iters must be at least 1")
     field = build_field(cfg["field"]) if "field" in cfg else None
 
     if "protocol" in cfg:
@@ -348,65 +355,53 @@ def cmd_estimate(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> Non
         if "window" not in cfg:
             raise ConfigError("[protocol] mode needs a [window] section")
         win = cfg["window"]
-        partition = est.window_partition((win["lo"], win["hi"]), win["divisor"])
         proto = cfg["protocol"]
-        result = est.run_protocol(
-            field,
-            coverage_gain=proto["c1"],
-            d=proto["d"],
-            T1=proto["t1"],
-            T2=proto["t2"],
-            n_agents=proto["agents"],
-            partition=partition,
-            seed=proto["seed"] if seed is None else seed,
-            dt_coverage=proto["dt_coverage"],
-            n_obs=proto["n_obs"],
-            lam=inverse["lam"],
-            basis_size=inverse["basis"],
-            grid_cells=inverse["cells"],
-            max_iters=inverse["max_iters"],
-            tol=inverse["tol"],
-        )
+        try:
+            partition = est.window_partition((win["lo"], win["hi"]), win["divisor"])
+            result = est.run_protocol(
+                field,
+                coverage_gain=proto["c1"],
+                d=proto["d"],
+                T1=proto["t1"],
+                T2=proto["t2"],
+                n_agents=proto["agents"],
+                partition=partition,
+                seed=proto["seed"] if seed is None else seed,
+                dt_coverage=proto["dt_coverage"],
+                n_obs=proto["n_obs"],
+                lam=inverse["lam"],
+                basis_size=inverse["basis"],
+                grid_cells=inverse["cells"],
+                max_iters=inverse["max_iters"],
+            )
+        except ValueError as exc:  # run_protocol raises it only from checks of its arguments
+            raise ConfigError(str(exc)) from exc
         estimate, observations = result.estimate, result.observations
     else:
         obs_sec = cfg["observations"]
+        domain = field.domain if field is not None else Domain.unit_interval()
         try:
             observations = est.load_observations_csv(obs_sec["path"])
+            problem = est.EstimationProblem(
+                domain=domain,
+                grid_cells=inverse["cells"],
+                basis_size=inverse["basis"],
+                d=obs_sec["d"],
+                lam=inverse["lam"],
+                T1=obs_sec["t1"],
+                T2=obs_sec["t2"],
+                obs=observations,
+            )
         except OSError as exc:
             raise ConfigError(f"cannot read observations: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         partition = observations.partition
-        domain = field.domain if field is not None else Domain.unit_interval()
-        problem = est.EstimationProblem(
-            domain=domain,
-            grid_cells=inverse["cells"],
-            basis_size=inverse["basis"],
-            d=obs_sec["d"],
-            lam=inverse["lam"],
-            T1=obs_sec["t1"],
-            T2=obs_sec["t2"],
-            obs=observations,
-        )
-        raw = est.solve_inverse(
-            problem, max_iters=inverse["max_iters"], tol=inverse["tol"]
-        )
-        mass = raw.u_hat.mass()
-        if mass <= 0:
-            raise NumericError("inverse solve collapsed to zero mass")
-        estimate = est.Estimate(
-            coefficients=raw.coefficients / mass,
-            u_hat=GridFunction(raw.u_hat.grid, raw.u_hat.values / mass),
-            objective_history=raw.objective_history,
-        )
+        estimate = est.solve_inverse(problem, max_iters=inverse["max_iters"]).normalized()
 
     est.save_observations_csv(os.path.join(out, "observations.csv"), observations)
-    _write_rows(
-        os.path.join(out, "objective.csv"),
-        "iteration,objective",
-        list(enumerate(estimate.objective_history)),
-    )
-
     summary: list[tuple[str, Any]] = [
-        ("iterations", len(estimate.objective_history) - 1),
+        ("kkt_residual", estimate.kkt_residual),
         ("objective_final", estimate.objective_history[-1]),
     ]
     scaled = None

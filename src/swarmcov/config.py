@@ -218,8 +218,7 @@ SCHEMAS: dict[str, dict[str, Section]] = {
                 "lam": Key(_as_float, default=0.1),
                 "basis": Key(_as_int, default=10),
                 "cells": Key(_as_int, default=100),
-                "max_iters": Key(_as_int, default=2000),
-                "tol": Key(_as_float, default=1e-12),
+                "max_iters": Key(_as_int, default=2000),  # NNLS iteration cap
             },
             required=False,
         ),

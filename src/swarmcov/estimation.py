@@ -16,23 +16,24 @@ cell-mean densities m/|O_w| and y/|O_w|.  Observability of the heat equation
 bounds the state by this norm whatever the cells, so with the weighting lam
 means the same for every partition of O.
 
-The discrete model is the same conservative finite-volume scheme used by the
-forward solver, so the gradient below is the exact transpose of the discrete
-forward map (discretize-then-optimize), not a discretization of a continuous
-adjoint.  The map is linear in the nodal values, so the solver assembles it
-once, in one march of all basis functions side by side, and iterates on
-matrix-vector products.
+The discrete model is the explicit finite-volume step of the forward solver,
+S = I + (dt d / h^2) T with T the zero-flux second difference.  S is
+symmetric tridiagonal, so one eigendecomposition S = V diag(mu) V^T gives
+S^s = V diag(mu^s) V^T at every observation step s, and the forward map, linear
+in the nodal values, is assembled in closed form.  The gradient is the exact
+transpose of that discrete map (discretize-then-optimize).  The objective is a
+nonnegative linear least-squares problem, which solve_inverse hands to the
+active-set NNLS method of Lawson and Hanson.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _pde_kernels as _pk
 from .errors import DegenerateFitError, NumericError
 from .fields import ScalarField, constant_diffusion_law, diffusion_coverage_law
 from .grids import Domain, Grid, GridFunction
@@ -49,7 +50,6 @@ __all__ = [
     "predict",
     "objective",
     "adjoint_gradient",
-    "project",
     "solve_inverse",
     "run_protocol",
     "rescale_with_known",
@@ -162,6 +162,17 @@ def observe(snapshots: Sequence[SwarmState], partition: Partition) -> Observatio
     return ObservationSeries(times, fractions, n, partition)
 
 
+def _check_settings(grid_cells: int, basis_size: int, d: float, lam: float) -> None:
+    if grid_cells < 4:
+        raise ValueError("need at least 4 grid cells")
+    if basis_size < 2:
+        raise ValueError("need at least 2 basis nodes")
+    if not d > 0:
+        raise ValueError("dispersion diffusivity must be positive")
+    if not lam >= 0:
+        raise ValueError("regularization weight must be nonnegative")
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """Inverse-problem setup for one dispersion window.
@@ -184,14 +195,7 @@ class EstimationProblem:
     def __post_init__(self):
         if self.domain.dim != 1:
             raise ValueError("estimation runs on 1D domains")
-        if self.grid_cells < 4:
-            raise ValueError("need at least 4 grid cells")
-        if self.basis_size < 2:
-            raise ValueError("need at least 2 basis nodes")
-        if self.d <= 0:
-            raise ValueError("dispersion diffusivity must be positive")
-        if self.lam < 0:
-            raise ValueError("regularization weight must be nonnegative")
+        _check_settings(self.grid_cells, self.basis_size, self.d, self.lam)
         if not self.T1 < self.T2:
             raise ValueError("need T1 < T2")
         t = self.obs.times
@@ -201,12 +205,24 @@ class EstimationProblem:
 
 @dataclass
 class Estimate:
-    """Inverse-solve output: nodal coefficients and the expanded density."""
+    """Inverse-solve output: nodal coefficients, the expanded density, the
+    objective at the solution and the solution's KKT residual."""
 
     coefficients: np.ndarray
     u_hat: GridFunction
     objective_history: list[float]
-    scale: Optional[float] = None
+    kkt_residual: float = float("nan")
+
+    def normalized(self) -> Estimate:
+        """The estimate scaled to unit mass, with the solve's record kept."""
+        mass = self.u_hat.mass()
+        if mass <= 0:
+            raise NumericError("inverse solve collapsed to zero mass; nothing to normalize")
+        return replace(
+            self,
+            coefficients=self.coefficients / mass,
+            u_hat=GridFunction(self.u_hat.grid, self.u_hat.values / mass),
+        )
 
 
 def uniform_times(T1: float, T2: float, count: int) -> np.ndarray:
@@ -221,8 +237,8 @@ def uniform_times(T1: float, T2: float, count: int) -> np.ndarray:
 
 class _Plan:
     """Precomputed pieces of the discrete forward map and of the objective
-    for one problem; objective, adjoint_gradient and solve_inverse all
-    evaluate through it."""
+    for one problem; predict, objective, adjoint_gradient and solve_inverse
+    all evaluate through it."""
 
     def __init__(self, problem: EstimationProblem):
         self.problem = problem
@@ -237,7 +253,6 @@ class _Plan:
             np.rint(taus / self.dt).astype(int), 1, self.n_steps
         )
         self.dt_obs = horizon / len(problem.obs.times)
-        self.w = np.full(problem.grid_cells, problem.d)
         self.basis = _hat_matrix(self.grid, problem.basis_size)
         self.overlap = _overlap_matrix(self.grid, problem.obs.partition)
         # data term weights of the (time, cell)-flattened mass residuals:
@@ -251,40 +266,27 @@ class _Plan:
     def expand(self, coeffs: np.ndarray) -> np.ndarray:
         return self.basis @ coeffs
 
-    def _marched(self, u: np.ndarray):
-        """Yield the state u, a (cells,) vector or a (cells, B) stack of
-        columns, marched through the dispersion window to each observation
-        step in turn."""
-        prev = 0
-        for step in self.obs_steps:
-            seg = int(step) - prev
-            if seg > 0:
-                u = _pk.march_diffusion_1d(u, self.w, self.h, self.dt, seg)
-            prev = int(step)
-            yield u
-
-    def march(self, coeffs: np.ndarray) -> np.ndarray:
-        """March the expansion through the dispersion window; returns the
-        cell masses (K, W) at the observation steps."""
-        masses = np.empty((len(self.obs_steps), self.overlap.shape[0]))
-        for k, u in enumerate(self._marched(np.ascontiguousarray(self.expand(coeffs)))):
-            masses[k] = self.overlap @ u
-        return masses
-
     @cached_property
     def forward_map(self) -> np.ndarray:
-        """Columns are the marched masses of each hat function, flattened
-        over (time, cell), assembled in one batched march of all hat columns:
-        march(c).ravel() equals this matrix times c up to rounding, since the
-        march and the cell integrals are linear.  The cell integrals are taken
-        column by column, so column m is bitwise equal to march(e_m).ravel()."""
-        masses = np.empty(
-            (len(self.obs_steps), self.overlap.shape[0], self.problem.basis_size)
-        )
-        for k, u in enumerate(self._marched(self.basis)):
-            for m, column in enumerate(u.T.copy()):
-                masses[k, :, m] = self.overlap @ column
-        return masses.reshape(-1, self.problem.basis_size)
+        """Cell masses of each hat function at each observation step,
+        flattened over (time, cell): column m holds overlap @ S^s @ basis[:, m]
+        for every observation step s, with S the explicit dispersion step.
+
+        S = I + r T (r = dt d / h^2, T the zero-flux second difference) is
+        symmetric tridiagonal, so S^s = V diag(mu^s) V^T from one
+        eigendecomposition.  The powers are integer powers: with dt at 0.9 of
+        the stability limit, mu reaches down to about -0.8."""
+        # imported here: scipy takes most of the package's import time
+        from scipy.linalg import eigh_tridiagonal
+
+        n = self.problem.grid_cells
+        r = self.dt * self.problem.d / (self.h * self.h)
+        diag = np.full(n, 1.0 - 2.0 * r)
+        diag[[0, -1]] = 1.0 - r
+        mu, V = eigh_tridiagonal(diag, np.full(n - 1, r))
+        left = self.overlap @ V
+        right = V.T @ self.basis
+        return np.vstack([left @ (mu[:, None] ** int(s) * right) for s in self.obs_steps])
 
     def value(self, coeffs: np.ndarray, masses: np.ndarray) -> float:
         """Objective at coeffs, given its flattened predicted masses."""
@@ -330,7 +332,9 @@ def _overlap_matrix(grid: Grid, partition: Partition) -> np.ndarray:
 def predict(coeffs: np.ndarray, problem: EstimationProblem) -> np.ndarray:
     """Model cell masses (n_times, n_cells): integral of the dispersed density
     over each partition cell at each observation time."""
-    return _Plan(problem).march(np.asarray(coeffs, dtype=float))
+    plan = _Plan(problem)
+    masses = plan.forward_map @ np.asarray(coeffs, dtype=float)
+    return masses.reshape(len(plan.obs_steps), -1)
 
 
 def objective(coeffs: np.ndarray, problem: EstimationProblem) -> float:
@@ -339,88 +343,60 @@ def objective(coeffs: np.ndarray, problem: EstimationProblem) -> float:
     the discrete L2(O x (T1, T2)) misfit of the cell-mean densities."""
     plan = _Plan(problem)
     c = np.asarray(coeffs, dtype=float)
-    return plan.value(c, plan.march(c).ravel())
+    return plan.value(c, plan.forward_map @ c)
 
 
 def adjoint_gradient(coeffs: np.ndarray, problem: EstimationProblem) -> np.ndarray:
     """Exact gradient of the objective through the transpose of the assembled
-    discrete forward map (one batched march of the basis_size hat functions)."""
+    discrete forward map."""
     plan = _Plan(problem)
     c = np.asarray(coeffs, dtype=float)
     return plan.gradient(c, plan.forward_map @ c)
 
 
-def project(coeffs: np.ndarray) -> np.ndarray:
-    """Componentwise clip to the feasible set of nonnegative nodal values."""
-    return np.maximum(np.asarray(coeffs, dtype=float), 0.0)
+def _kkt_residual(coeffs: np.ndarray, grad: np.ndarray) -> float:
+    """Largest violation of the optimality conditions of min J(c) over c >= 0:
+    |g_i| where c_i > 0 and max(-g_i, 0) where c_i = 0, for g the gradient."""
+    return float(np.where(coeffs > 0, np.abs(grad), np.maximum(-grad, 0.0)).max())
 
 
-def solve_inverse(
-    problem: EstimationProblem,
-    init: Optional[np.ndarray] = None,
-    max_iters: int = 500,
-    tol: float = 1e-10,
-    armijo: float = 1e-4,
-) -> Estimate:
-    """Projected gradient descent with Armijo backtracking (halving).
+def solve_inverse(problem: EstimationProblem, max_iters: int = 2000) -> Estimate:
+    """Minimize the objective over nonnegative nodal values in one direct solve.
 
-    The trial step length for each iteration is the Barzilai-Borwein estimate
-    from the previous accepted step (a plain scalar; the method stays
-    first-order), safeguarded by halving until the Armijo condition holds.
-    Stops when the objective decrease per unit step length drops below tol,
-    when no feasible descent step is found, or at max_iters.  The recorded
-    objective history is strictly decreasing over accepted iterations.
-
-    The forward map is assembled once (one march of all basis_size hat
-    functions through the window); each iteration then evaluates objective
-    and gradient by matrix-vector products, through the same plan as
-    objective and adjoint_gradient.
+    The objective is the squared residual of the stacked linear system
+    [sqrt(W) A; sqrt(lam h) B] c ~ [sqrt(W) y; 0], with A the assembled
+    forward map, W the data weights, y the observed fractions and B the hat
+    basis.  scipy.optimize.nnls (the Lawson-Hanson active-set method) solves
+    it exactly; max_iters caps its iterations.  The history holds the one
+    objective value at the solution, and the estimate records its KKT
+    residual.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    # imported here: scipy takes most of the package's import time
+    from scipy.optimize import nnls
+
     plan = _Plan(problem)
     A = plan.forward_map
-    if init is None:
-        init = np.ones(problem.basis_size)
-    c = project(init)
-    j = plan.value(c, A @ c)
+    root_w = np.sqrt(plan.weights)
+    M = np.vstack([root_w[:, None] * A, np.sqrt(plan.reg) * plan.basis])
+    b = np.concatenate([root_w * plan.data, np.zeros(plan.basis.shape[0])])
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise NumericError("the least-squares system is non-finite")
+    try:
+        c, _ = nnls(M, b, maxiter=max_iters)
+    except RuntimeError as exc:
+        raise NumericError(f"NNLS did not converge in {max_iters} iterations") from exc
+    masses = A @ c
+    j = plan.value(c, masses)
     if not np.isfinite(j):
-        raise NumericError("objective is non-finite at iteration 0")
-    history = [j]
-    alpha = 1.0
-    prev_c: Optional[np.ndarray] = None
-    prev_grad: Optional[np.ndarray] = None
-    for it in range(1, max_iters + 1):
-        grad = plan.gradient(c, A @ c)
-        if prev_c is not None:
-            s = c - prev_c
-            y = grad - prev_grad
-            sy = float(s @ y)
-            if sy > 1e-300:
-                alpha = float(s @ s) / sy
-        alpha = float(np.clip(alpha, 1e-18, 1e18))
-        cand = None
-        while alpha > 1e-18:
-            trial = project(c - alpha * grad)
-            move = trial - c
-            move_sq = float(move @ move)
-            if move_sq == 0.0:
-                break
-            j_trial = plan.value(trial, A @ trial)
-            if not np.isfinite(j_trial):
-                raise NumericError(f"objective is non-finite at iteration {it}")
-            if j_trial <= j - (armijo / alpha) * move_sq:
-                cand = (trial, j_trial, np.sqrt(move_sq))
-                break
-            alpha *= 0.5
-        if cand is None:
-            break
-        prev_c, prev_grad = c, grad
-        decrease = j - cand[1]
-        c, j, move_norm = cand
-        history.append(j)
-        if decrease / max(move_norm, 1e-300) < tol:
-            break
-    u_hat = GridFunction(plan.grid, plan.expand(c))
-    return Estimate(coefficients=c, u_hat=u_hat, objective_history=history)
+        raise NumericError("objective is non-finite at the solution")
+    return Estimate(
+        coefficients=c,
+        u_hat=GridFunction(plan.grid, plan.expand(c)),
+        objective_history=[j],
+        kkt_residual=_kkt_residual(c, plan.gradient(c, masses)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +427,18 @@ def run_protocol(
     basis_size: int = 10,
     grid_cells: int = 100,
     max_iters: int = 2000,
-    tol: float = 1e-12,
 ) -> ProtocolResult:
     """Coverage phase, dispersion phase, observation, and inverse solve.
 
     The dispersion phase uses one simulation step per observation interval:
     with a constant diffusion coefficient the reflected Gaussian increment
     samples the exact transition law, so no finer stepping is needed.  The
-    returned estimate is normalized to unit mass.
+    returned estimate is normalized to unit mass.  n_obs and the inverse-solve
+    settings are checked before the swarm runs.
     """
+    _check_settings(grid_cells, basis_size, d, lam)
+    if n_obs < 1:
+        raise ValueError("need at least one observation time")
     domain = field.domain
     laws_cov = diffusion_coverage_law(field, coverage_gain)
     cfg1 = SimConfig(
@@ -501,15 +480,7 @@ def run_protocol(
         T2=t1_actual + n_obs * delta,
         obs=observations,
     )
-    est = solve_inverse(problem, max_iters=max_iters, tol=tol)
-    mass = est.u_hat.mass()
-    if mass <= 0:
-        raise NumericError("inverse solve collapsed to zero mass; nothing to normalize")
-    est = Estimate(
-        coefficients=est.coefficients / mass,
-        u_hat=GridFunction(est.u_hat.grid, est.u_hat.values / mass),
-        objective_history=est.objective_history,
-    )
+    est = solve_inverse(problem, max_iters=max_iters).normalized()
     return ProtocolResult(
         estimate=est, observations=observations, problem=problem, settled=settled
     )
@@ -565,6 +536,11 @@ def load_observations_csv(path, n_agents: int = 0) -> ObservationSeries:
     expected = ("t", "cell_lo", "cell_hi", "fraction")
     if raw.dtype.names != expected:
         raise ValueError(f"expected header {','.join(expected)}")
+    if raw.size == 0:
+        raise ValueError("no observation rows")
+    for name in ("t", "cell_lo", "cell_hi"):
+        if not np.isfinite(raw[name]).all():
+            raise ValueError(f"observation column {name} must be finite numbers")
     times = np.unique(raw["t"])
     first = raw[raw["t"] == times[0]]
     cells = tuple(zip(first["cell_lo"], first["cell_hi"]))
@@ -573,9 +549,10 @@ def load_observations_csv(path, n_agents: int = 0) -> ObservationSeries:
     index = {t: k for k, t in enumerate(times)}
     lookup = {c: w for w, c in enumerate(cells)}
     for row in raw:
-        fractions[index[row["t"]], lookup[(row["cell_lo"], row["cell_hi"])]] = row[
-            "fraction"
-        ]
+        cell = (row["cell_lo"], row["cell_hi"])
+        if cell not in lookup:
+            raise ValueError(f"cell {cell} is not among the first time's cells")
+        fractions[index[row["t"]], lookup[cell]] = row["fraction"]
     if np.isnan(fractions).any():
         raise ValueError("incomplete observation table")
     return ObservationSeries(times, fractions, n_agents, partition)

@@ -253,7 +253,7 @@ def test_criterion_7_inverse_crime():
         UNIT, 50, 10, 0.05, 1e-6, 1.0, 2.0,
         ObservationSeries(times, data, 0, part),
     )
-    est = solve_inverse(prob, max_iters=4000, tol=1e-14)
+    est = solve_inverse(prob, max_iters=4000)
     rel = float(np.linalg.norm(est.coefficients - c_true) / np.linalg.norm(c_true))
     ok = rel <= 1e-2
     detail = f"coefficient relative L2 error {rel:.2e} (<= 1e-2)"
@@ -320,7 +320,7 @@ def _estimate_both_partitions(field, seed):
         obs = observe(snaps, part)
         window = (settled.time, settled.time + n_obs * delta)
         prob = EstimationProblem(UNIT, 100, 10, d, 0.1, *window, obs)
-        est = solve_inverse(prob, max_iters=2000, tol=1e-12)
+        est = solve_inverse(prob, max_iters=2000)
         errs[label] = _relative_error(est.u_hat, field)
         exact_obs = ObservationSeries(obs.times, predict(nodal, prob), n_agents, part)
         exact = EstimationProblem(UNIT, 100, 10, d, 0.1, *window, exact_obs)

@@ -3,12 +3,15 @@
 import filecmp
 import importlib.resources as resources
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from swarmcov import ConfigError, Grid, GridFunction, NumericError, sine_field
 from swarmcov import estimation as est
+from swarmcov import graphs as gr
 from swarmcov.cli import main
 from swarmcov.config import build_init, load_config
 from swarmcov.estimation import load_estimate_csv, load_observations_csv
@@ -370,6 +373,155 @@ def test_graph_sample_t_end_accepts_inf(tmp_path):
     assert load_config(path, "graph")["sample"]["t_end"] == float("inf")
     assert main(["graph", "--config", path]) == 0
     assert len(load_trajectory_csv(str(tmp_path / "out" / "trajectory.csv")).times) == 501
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        pytest.param([("c = 1.0", "c = 1e-300\nexponent = -1")], id="rates-underflow-to-zero"),
+        pytest.param([("c = 1.0", "c = 1e300\nexponent = 1")], id="rates-overflow-to-inf"),
+    ],
+)
+def test_cli_exit_two_on_non_finite_or_zero_rates(tmp_path, capsys, monkeypatch, edits):
+    # c * f**exponent * degree with f = 1e300 is 0 or inf: sampling writes
+    # nan occupations, and propagation integrates an unbounded generator
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the rates must be rejected before the chain runs")
+
+    monkeypatch.setattr(gr, "propagate", unreachable)
+    monkeypatch.setattr(gr, "sample_ctmc", unreachable)
+    text = MINIMAL_GRAPH.replace("1.0, 2.0, 1.5", "1e300, 1e300, 1e300")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    path = _write(tmp_path, text, out=str(out))
+    assert main(["graph", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "jump rates" in err
+    assert not any(out.iterdir())
+
+
+OBS_ROWS = [(t, 0.7 + 0.1 * k, 0.7 + 0.1 * (k + 1), 0.02 + 0.01 * k)
+            for t in (1.2, 1.4, 1.6, 1.8, 2.0) for k in range(3)]
+
+OBS_CONFIG = """
+[observations]
+path = obs.csv
+d = 0.05
+t1 = 1.0
+t2 = 2.0
+
+[inverse]
+cells = 50
+basis = 6
+
+[output]
+dir = {out}
+"""
+
+PROTOCOL_CONFIG = """
+[field]
+kind = sine
+
+[protocol]
+c1 = 0.5
+d = 0.05
+t1 = 0.01
+t2 = 0.11
+agents = 50
+dt_coverage = 1e-3
+n_obs = 2
+seed = 1
+
+[window]
+lo = 0.7
+hi = 1.0
+divisor = 10
+
+[inverse]
+cells = 20
+basis = 4
+
+[output]
+dir = {out}
+"""
+
+
+def _observations(tmp_path, rows=OBS_ROWS, header="t,cell_lo,cell_hi,fraction"):
+    lines = [header] + [",".join(str(v) for v in row) for row in rows]
+    (tmp_path / "obs.csv").write_text("\n".join(lines) + "\n")
+
+
+def _run_estimate(tmp_path, text, edits=()):
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = _write(tmp_path, text, name="est.cfg", out=str(tmp_path / "out"))
+    return main(["estimate", "--config", path])
+
+
+@pytest.mark.parametrize(
+    "config, rows, header, edits",
+    [
+        pytest.param(OBS_CONFIG, OBS_ROWS, "time,lo,hi,frac", (), id="wrong-header"),
+        pytest.param(OBS_CONFIG, [("abc",) + r[1:] for r in OBS_ROWS], None, (), id="t-not-a-number"),
+        pytest.param(OBS_CONFIG, OBS_ROWS[:-1], None, (), id="incomplete-table"),
+        pytest.param(OBS_CONFIG, [], None, (), id="no-rows"),
+        pytest.param(OBS_CONFIG, OBS_ROWS[:-1] + [OBS_ROWS[-1][:2] + (0.95,) + OBS_ROWS[-1][3:]],
+                     None, (), id="cell-missing-at-first-time"),
+        pytest.param(OBS_CONFIG, [r[:2] + (0.75,) + r[3:] if r[1] == 0.7 else r for r in OBS_ROWS],
+                     None, (), id="gapped-cells"),
+        pytest.param(OBS_CONFIG, OBS_ROWS, None, [("t1 = 1.0", "t1 = 1.5")], id="times-before-t1"),
+        pytest.param(OBS_CONFIG, OBS_ROWS, None, [("t2 = 2.0", "t2 = 1.9")], id="times-after-t2"),
+        pytest.param(OBS_CONFIG, OBS_ROWS, None, [("d = 0.05", "d = 0")], id="d-zero"),
+        pytest.param(OBS_CONFIG, OBS_ROWS, None, [("cells = 50", "cells = 3")], id="cells-3"),
+        pytest.param(OBS_CONFIG, OBS_ROWS, None, [("basis = 6", "basis = 1")], id="basis-1"),
+        pytest.param(OBS_CONFIG, OBS_ROWS, None, [("basis = 6", "basis = 6\nlam = -0.1")],
+                     id="lam-negative"),
+        pytest.param(OBS_CONFIG, OBS_ROWS, None, [("basis = 6", "basis = 6\nmax_iters = 0")],
+                     id="max_iters-zero"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("d = 0.05", "d = -0.05")], id="protocol-d-negative"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("n_obs = 2", "n_obs = 0")], id="protocol-n_obs-zero"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("hi = 1.0", "hi = 0.7")], id="protocol-empty-window"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("divisor = 10", "divisor = 0")],
+                     id="protocol-divisor-zero"),
+    ],
+)
+def test_cli_exit_two_on_bad_estimate_input(tmp_path, capsys, config, rows, header, edits):
+    if rows is not None:
+        _observations(tmp_path, rows, header or "t,cell_lo,cell_hi,fraction")
+    assert _run_estimate(tmp_path, config, edits) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(OBS_ROWS[:4] + [OBS_ROWS[4][:3] + (float("inf"),)] + OBS_ROWS[5:],
+                     id="inf-fraction"),
+        pytest.param([r[:3] + (1e300,) for r in OBS_ROWS], id="fractions-1e300"),
+    ],
+)
+def test_cli_exit_three_on_non_finite_solve(tmp_path, capsys, rows):
+    _observations(tmp_path, rows)
+    assert _run_estimate(tmp_path, OBS_CONFIG) == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it, so starting the
+    # command line does not pay for it
+    src = os.path.dirname(os.path.dirname(est.__file__))
+    code = ("import sys, swarmcov.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

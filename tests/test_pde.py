@@ -295,17 +295,19 @@ def test_long_horizon_reaches_one_over_w(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 1D diffusion kernel: batched columns
+# 1D diffusion kernel
 
 
-def test_march_1d_batched_columns_bitwise_equal_single_marches():
+def test_march_1d_keeps_its_input_and_composes_bitwise():
+    # marching 15 then 25 steps is marching 40 (the inverse solve's reference
+    # map marches segment by segment), and the input is not marched in place
     rng = np.random.default_rng(6)
-    y = rng.random((20, 4))
+    y = rng.random(20)
     w = rng.random(20) + 0.5
     h = 1.0 / 20
     dt = 0.9 * h * h / (2.0 * w.max())
     y0 = y.copy()
-    batched = pk.march_diffusion_1d_numpy(y, w, h, dt, 40)
-    for j in range(4):
-        assert np.array_equal(batched[:, j], pk.march_diffusion_1d_numpy(y[:, j], w, h, dt, 40))
-    assert np.array_equal(y, y0)  # the input is not marched in place
+    whole = pk.march_diffusion_1d_numpy(y, w, h, dt, 40)
+    split = pk.march_diffusion_1d_numpy(pk.march_diffusion_1d_numpy(y, w, h, dt, 15), w, h, dt, 25)
+    assert np.array_equal(whole, split)
+    assert np.array_equal(y, y0)

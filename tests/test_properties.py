@@ -1,4 +1,5 @@
-"""Property tests for the agent-step kernels and the two-bump field."""
+"""Property tests for the agent-step kernels, the two-bump field and the
+inverse solve."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from swarmcov import _sde_kernels as sk
+from swarmcov import estimation as est
 from swarmcov.fields import _bump_terms, two_bump_field
+from swarmcov.grids import Domain
 
 # magnitudes stay far from overflow of x - lo and 2 * span
 coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -83,3 +86,41 @@ def test_two_bump_values_match_bump_terms(pts):
     f2, _ = _bump_terms(pts, 6.0, 2.0)
     expected = np.maximum(f1 - f2, 0.0) + 0.01
     assert field.eval(pts).tobytes() == expected.tobytes()
+
+
+@st.composite
+def inverse_problems(draw):
+    """Small estimation problems: a window of the unit interval cut at 1/10
+    or 1/100, 1-12 observation times in (1, 2], nonnegative fractions of
+    mixed magnitude, any lam >= 0 including 0 (a rank-deficient fit)."""
+    lo = draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9]))
+    part = est.window_partition((lo, 1.0), draw(st.sampled_from([10, 100])))
+    times = est.uniform_times(1.0, 2.0, draw(st.integers(1, 12)))
+    scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    fractions = scale * np.random.default_rng(seed).random((len(times), part.n_cells))
+    obs = est.ObservationSeries(times, fractions, 0, part)
+    return est.EstimationProblem(
+        Domain.unit_interval(),
+        draw(st.integers(4, 80)),
+        draw(st.integers(2, 12)),
+        draw(st.floats(1e-3, 1.0)),
+        draw(st.one_of(st.just(0.0), st.floats(1e-8, 10.0))),
+        1.0,
+        2.0,
+        obs,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(inverse_problems())
+def test_inverse_solution_is_a_kkt_point(problem):
+    # nonnegative, with gradient zero where c > 0 and nonnegative where c = 0
+    solution = est.solve_inverse(problem)
+    c = solution.coefficients
+    g = est.adjoint_gradient(c, problem)
+    assert (c >= 0).all()
+    kkt = np.where(c > 0, np.abs(g), np.maximum(-g, 0.0)).max()
+    assert kkt <= 1e-9 * max(1.0, np.abs(g).max())
+    assert solution.kkt_residual == kkt
+    assert solution.objective_history == [est.objective(c, problem)]
