@@ -9,8 +9,14 @@ times over 50 time units, d = 0.005, 100 cells, 10 hats, the 30-cell fine
 window partition): the spectral forward map, the solve with NNLS, and the
 per-column finite-volume marches the map replaces, which it must match to
 1e-11 relative.
+The 1D pure-diffusion rows solve at the solvers benchmark's pde_longrun size
+(50 cells, sine coverage law with c1 = 0.5, Gaussian start, t_end = 4, 11
+snapshots): in closed form, as pde.solve does, and marched from snapshot to
+snapshot, which the closed form must match to 1e-10 relative.
 The graph rows sample a jump chain at the size the solvers benchmark's random
-graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps) and write it as CSV.
+graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps), write it as CSV,
+and propagate the master equation to 5 times, which must match
+scipy.linalg.expm of the generator to 1e-10 relative.
 
 Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--steps N]
        [--repeats N]
@@ -24,13 +30,14 @@ import tempfile
 import time
 
 import numpy as np
+from scipy.linalg import expm
 
 from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
 from swarmcov import estimation as est
 from swarmcov import graphs as gr
-from swarmcov import two_bump_field
-from swarmcov.grids import Domain
+from swarmcov import diffusion_coverage_law, pde, sine_field, two_bump_field
+from swarmcov.grids import Domain, Grid, GridFunction
 
 
 def median_time(fn, repeats: int) -> float:
@@ -114,18 +121,41 @@ def main() -> None:
             columns.append(np.concatenate(blocks))
         return np.stack(columns, axis=1)
 
+    # 1D pure diffusion at pde_longrun size
+    line = Grid(Domain.unit_interval(), (50,))
+    coeffs = pde.coefficients_from_laws(diffusion_coverage_law(sine_field(), 0.5), line)
+    bump = np.exp(-0.5 * ((line.centers(0) - 0.3) / 0.02) ** 2)
+    y_start = GridFunction(line, bump / (bump.sum() * line.cell_volume))
+    snaps = (0.2, 0.4, 0.8, 1.2, 1.6, 2.0, 2.4, 2.8, 3.2, 3.6, 4.0)
+    closed = pde.solve(y_start, coeffs, 4.0, snapshot_times=snaps)
+
+    def marched_solve():
+        # the march the closed form replaces, from snapshot to snapshot
+        u, prev, rows = y_start.values, 0, []
+        for t in closed.times:
+            s = round(t / closed.dt)
+            u = pk.march_diffusion_1d(u, coeffs.w.values, line.spacing[0], closed.dt, s - prev)
+            prev = s
+            rows.append(u)
+        return np.array(rows)
+
     # the graph chain: a seeded 50-vertex, 99-edge random graph
     graph = gr.random_connected_graph(50, 50, np.random.default_rng(4))
     assert len(graph.edges) == 99
     gf = rng.uniform(0.5, 2.0, 50)
     jumps = 300_000
     chain = gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)
+    p_start = rng.random(50)
+    p_start /= p_start.sum()
+    prop_times = [0.25, 0.5, 1.0, 2.0, 4.0]
     tmpdir = tempfile.TemporaryDirectory()
     csv_path = os.path.join(tmpdir.name, "trajectory.csv")
 
     marched = f"inverse map, 10 marched hats ({est._Plan(problem).n_steps} steps)"
     spectral = "inverse map, spectral (100 cells, 10 hats)"
     solve = "solve_inverse, spectral map + NNLS"
+    pde_closed = f"1D pure-diffusion solve, closed form ({closed.n_steps:,} steps)"
+    pde_marched = "1D pure-diffusion solve, marched (50 cells)"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
     writer = f"trajectory_to_csv ({jumps:,} jumps)"
 
@@ -139,6 +169,8 @@ def main() -> None:
             f"FV diffusion march 1D ({nc} cells x {args.steps} steps)",
             lambda: pk.march_diffusion_1d(y1, w1, h, dt1, args.steps),
         ),
+        (pde_closed, lambda: pde.solve(y_start, coeffs, 4.0, snapshot_times=snaps)),
+        (pde_marched, marched_solve),
         (marched, marched_map),
         (spectral, lambda: est._Plan(problem).forward_map),
         (solve, lambda: est.solve_inverse(problem)),
@@ -148,13 +180,14 @@ def main() -> None:
         ),
         (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
         (writer, lambda: gr.trajectory_to_csv(chain, csv_path)),
+        ("propagate (50 vertices, 5 times)", lambda: gr.propagate(graph, p_start, gf, 1.0, prop_times, -1)),
     ]
 
-    print(f"{'kernel':<45} {'median':>10}")
+    print(f"{'kernel':<55} {'median':>10}")
     times = {}
     for label, fn in cases:
         times[label] = median_time(fn, args.repeats)
-        print(f"{label:<45} {times[label] * 1e3:>8.2f}ms")
+        print(f"{label:<55} {times[label] * 1e3:>8.2f}ms")
 
     reference = marched_map()
     rel = np.abs(est._Plan(problem).forward_map - reference).max() / np.abs(reference).max()
@@ -163,6 +196,21 @@ def main() -> None:
     print(f"inverse map: spectral {times[marched] / times[spectral]:.0f}x faster than the "
           f"marched columns, {rel:.1e} largest relative difference; the solve adds "
           f"{(times[solve] - times[spectral]) * 1e3:.2f} ms to the map (stacking, NNLS, KKT)")
+    reference = marched_solve()
+    got = np.array([snap.values for snap in closed.active])
+    rel = np.abs(got - reference).max() / np.abs(reference).max()
+    if rel > 1e-10:
+        raise SystemExit(f"closed-form solve differs from the march by {rel:.1e} relative")
+    print(f"1D pure diffusion: closed form {times[pde_marched] / times[pde_closed]:.0f}x faster "
+          f"than the march, {rel:.1e} largest relative difference, mass drift "
+          f"{closed.mass_drift:.1e}")
+    generator = -gr.laplacian(graph) @ np.diag(gf**-1.0)
+    reference = np.array([expm(generator * t) @ p_start for t in prop_times])
+    rel = np.abs(gr.propagate(graph, p_start, gf, 1.0, prop_times, -1) - reference).max()
+    rel /= np.abs(reference).max()
+    if rel > 1e-10:
+        raise SystemExit(f"propagate differs from expm by {rel:.1e} relative")
+    print(f"propagate: {rel:.1e} largest relative difference from expm")
     print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
           f"{times[writer] / jumps * 1e6:.3f} us per row written "
           f"({os.path.getsize(csv_path):,} B)")

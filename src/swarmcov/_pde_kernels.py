@@ -3,7 +3,8 @@
 Flux form on a uniform cell grid with zero-flux walls: the diffusive face flux
 is the difference quotient of g = w*y across the face, the advective face flux
 is upwind with face-averaged velocity, and boundary faces carry zero flux, so
-total mass telescopes exactly.
+total mass telescopes exactly.  The 1D diffusion step also has a spectral
+form, diffusion_eigenpairs_1d, for powers of the step without marching.
 """
 
 from __future__ import annotations
@@ -29,6 +30,22 @@ def march_diffusion_1d_numpy(y, w, h, dt, nsteps):
         out += div
     return out
 
+
+def diffusion_eigenpairs_1d(r):
+    """Eigenpairs (mu ascending, V orthonormal columns) of the symmetric
+    tridiagonal M = I + R^1/2 T R^1/2, with R = diag(r), r = dt*w/h^2 per cell
+    and T the zero-flux second difference.
+
+    The step march_diffusion_1d takes is S = I + T R = R^-1/2 M R^1/2, so
+    S^s = R^-1/2 V diag(mu^s) V^T R^1/2 for every s.  V is dense: 8 n^2 bytes.
+    """
+    # imported here: scipy takes most of the package's import time
+    from scipy.linalg import eigh_tridiagonal
+
+    neighbours = np.full(r.shape[0], 2.0)
+    neighbours[0] -= 1.0
+    neighbours[-1] -= 1.0
+    return eigh_tridiagonal(1.0 - neighbours * r, np.sqrt(r[:-1] * r[1:]))
 
 
 # -- pure diffusion, 2D ------------------------------------------------------

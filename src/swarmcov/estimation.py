@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _pde_kernels as _pk
 from .errors import DegenerateFitError, NumericError
 from .fields import ScalarField, constant_diffusion_law, diffusion_coverage_law
 from .grids import Domain, Grid, GridFunction
@@ -173,6 +174,16 @@ def _check_settings(grid_cells: int, basis_size: int, d: float, lam: float) -> N
         raise ValueError("regularization weight must be nonnegative")
 
 
+def _check_domain(domain: Domain, window: tuple[float, float]) -> None:
+    if domain.dim != 1:
+        raise ValueError("estimation runs on 1D domains")
+    (lo, hi) = domain.extents[0]
+    if window[0] < lo or window[1] > hi:
+        raise ValueError(
+            f"window [{window[0]:g}, {window[1]:g}] reaches outside the domain [{lo:g}, {hi:g}]"
+        )
+
+
 @dataclass(frozen=True)
 class EstimationProblem:
     """Inverse-problem setup for one dispersion window.
@@ -193,8 +204,7 @@ class EstimationProblem:
     obs: ObservationSeries
 
     def __post_init__(self):
-        if self.domain.dim != 1:
-            raise ValueError("estimation runs on 1D domains")
+        _check_domain(self.domain, self.obs.partition.window)
         _check_settings(self.grid_cells, self.basis_size, self.d, self.lam)
         if not self.T1 < self.T2:
             raise ValueError("need T1 < T2")
@@ -276,14 +286,8 @@ class _Plan:
         symmetric tridiagonal, so S^s = V diag(mu^s) V^T from one
         eigendecomposition.  The powers are integer powers: with dt at 0.9 of
         the stability limit, mu reaches down to about -0.8."""
-        # imported here: scipy takes most of the package's import time
-        from scipy.linalg import eigh_tridiagonal
-
-        n = self.problem.grid_cells
         r = self.dt * self.problem.d / (self.h * self.h)
-        diag = np.full(n, 1.0 - 2.0 * r)
-        diag[[0, -1]] = 1.0 - r
-        mu, V = eigh_tridiagonal(diag, np.full(n - 1, r))
+        mu, V = _pk.diffusion_eigenpairs_1d(np.full(self.problem.grid_cells, r))
         left = self.overlap @ V
         right = V.T @ self.basis
         return np.vstack([left @ (mu[:, None] ** int(s) * right) for s in self.obs_steps])
@@ -433,13 +437,15 @@ def run_protocol(
     The dispersion phase uses one simulation step per observation interval:
     with a constant diffusion coefficient the reflected Gaussian increment
     samples the exact transition law, so no finer stepping is needed.  The
-    returned estimate is normalized to unit mass.  n_obs and the inverse-solve
-    settings are checked before the swarm runs.
+    returned estimate is normalized to unit mass.  n_obs, the window (inside
+    the field's 1D domain) and the inverse-solve settings are checked before
+    the swarm runs.
     """
     _check_settings(grid_cells, basis_size, d, lam)
     if n_obs < 1:
         raise ValueError("need at least one observation time")
     domain = field.domain
+    _check_domain(domain, partition.window)
     laws_cov = diffusion_coverage_law(field, coverage_gain)
     cfg1 = SimConfig(
         n_agents=n_agents,

@@ -138,6 +138,29 @@ def _march_adr(v1, v2, w, a, H, k, spacing, dt, nsteps):
     )
 
 
+def _diffusion_powers_1d(y0, w, h, dt, steps):
+    """S^s y0 for each s in steps, S the step march_diffusion_1d takes, from
+    one eigendecomposition of its symmetric form (rows of the result).
+
+    The conserved mode v0 = w^-1/2 / |w^-1/2| of the symmetric form has
+    eigenvalue exactly 1, which eigh returns only to round-off; raised to a
+    power of 10^5 or more that error would show as mass drift.  So v0's
+    coefficient alpha is carried unchanged, only the other eigenpairs are
+    raised to the power, on the data less alpha v0, and v0 is projected out
+    of what they give."""
+    mu, V = _pk.diffusion_eigenpairs_1d(dt * w / (h * h))
+    root = np.sqrt(w)
+    v0 = 1.0 / root
+    v0 /= np.linalg.norm(v0)
+    z = root * y0
+    alpha = v0 @ z
+    # mu ascends: the conserved mode is the last eigenpair
+    mu, V = mu[:-1], V[:, :-1]
+    u = (mu ** np.asarray(steps, dtype=np.int64)[:, None] * (V.T @ (z - alpha * v0))) @ V.T
+    u -= np.outer(u @ v0, v0)
+    return (u + alpha * v0) / root
+
+
 def step_diffusion(y: GridFunction, w: GridFunction, dt: float) -> GridFunction:
     """One explicit step of dy/dt = lap(w*y) with zero-flux walls."""
     if y.grid.shape != w.grid.shape:
@@ -184,8 +207,12 @@ def solve(
     y2_init: Optional[GridFunction] = None,
     safety: float = 0.9,
 ) -> SolveReport:
-    """March to t_end with dt = safety * (stability bound); snapshot at the
-    nearest step time >= each requested time (t_end is always included)."""
+    """Advance to t_end with dt = safety * (stability bound); snapshot at the
+    nearest step time >= each requested time (t_end is always included).
+
+    1D pure diffusion (no drift, H or k, no y2_init) takes each snapshot in
+    closed form, as the power of the explicit step that marching would
+    apply; every other case is marched step by step."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if not 0 < safety < 1:
@@ -230,27 +257,28 @@ def solve(
     active: list[GridFunction] = []
     passive: list[GridFunction] = []
 
-    def record(step: int):
+    def record(step: int, u1: np.ndarray, u2: np.ndarray):
         nonlocal drift
         times.append(step * dt)
-        active.append(GridFunction(grid, v1.copy()))
-        passive.append(GridFunction(grid, v2.copy()))
-        mass = float((v1.sum() + v2.sum()) * cellvol)
+        active.append(GridFunction(grid, u1.copy()))
+        passive.append(GridFunction(grid, u2.copy()))
+        mass = float((u1.sum() + u2.sum()) * cellvol)
         drift = max(drift, abs(mass - mass0) / abs(mass0)) if mass0 != 0 else drift
 
-    prev = 0
-    if snap_idx and snap_idx[0] == 0:
-        record(0)
-        snap_idx = snap_idx[1:]
-    for target in snap_idx:
-        seg = target - prev
-        if seg > 0:
-            if use_adr:
-                v1, v2 = _march_adr(v1, v2, w, a, H, coeffs.k, grid.spacing, dt, seg)
-            else:
-                v1 = _march_diffusion(v1, w, grid.spacing, dt, seg)
-        prev = target
-        record(target)
+    if grid.dim == 1 and not use_adr:
+        for step, u1 in zip(snap_idx, _diffusion_powers_1d(v1, w, grid.spacing[0], dt, snap_idx)):
+            record(step, u1, v2)
+    else:
+        prev = 0
+        for target in snap_idx:
+            seg = target - prev
+            if seg > 0:
+                if use_adr:
+                    v1, v2 = _march_adr(v1, v2, w, a, H, coeffs.k, grid.spacing, dt, seg)
+                else:
+                    v1 = _march_diffusion(v1, w, grid.spacing, dt, seg)
+            prev = target
+            record(target, v1, v2)
 
     return SolveReport(
         times=times,

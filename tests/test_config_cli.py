@@ -384,7 +384,7 @@ def test_graph_sample_t_end_accepts_inf(tmp_path):
 )
 def test_cli_exit_two_on_non_finite_or_zero_rates(tmp_path, capsys, monkeypatch, edits):
     # c * f**exponent * degree with f = 1e300 is 0 or inf: sampling writes
-    # nan occupations, and propagation integrates an unbounded generator
+    # nan occupations, and propagation decomposes a generator holding inf
     def unreachable(*args, **kwargs):
         raise AssertionError("the rates must be rejected before the chain runs")
 
@@ -486,9 +486,21 @@ def _run_estimate(tmp_path, text, edits=()):
         pytest.param(PROTOCOL_CONFIG, None, None, [("hi = 1.0", "hi = 0.7")], id="protocol-empty-window"),
         pytest.param(PROTOCOL_CONFIG, None, None, [("divisor = 10", "divisor = 0")],
                      id="protocol-divisor-zero"),
+        # a window outside the field's domain is rejected before the swarm runs
+        pytest.param(PROTOCOL_CONFIG, None, None, [("lo = 0.7", "lo = -0.5")],
+                     id="protocol-window-below-domain"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("hi = 1.0", "hi = 2.0")],
+                     id="protocol-window-above-domain"),
+        pytest.param(OBS_CONFIG, [(t, lo + 0.5, hi + 0.5, m) for t, lo, hi, m in OBS_ROWS],
+                     None, (), id="cells-outside-domain"),
     ],
 )
-def test_cli_exit_two_on_bad_estimate_input(tmp_path, capsys, config, rows, header, edits):
+def test_cli_exit_two_on_bad_estimate_input(tmp_path, capsys, monkeypatch, config, rows, header,
+                                            edits):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the input must be rejected before the swarm runs")
+
+    monkeypatch.setattr(est, "simulate", unreachable)
     if rows is not None:
         _observations(tmp_path, rows, header or "t,cell_lo,cell_hi,fraction")
     assert _run_estimate(tmp_path, config, edits) == 2

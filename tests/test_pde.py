@@ -299,8 +299,9 @@ def test_long_horizon_reaches_one_over_w(tmp_path):
 
 
 def test_march_1d_keeps_its_input_and_composes_bitwise():
-    # marching 15 then 25 steps is marching 40 (the inverse solve's reference
-    # map marches segment by segment), and the input is not marched in place
+    # marching 15 then 25 steps is marching 40 (the march the closed-form
+    # solve is checked against goes segment by segment, from snapshot to
+    # snapshot), and the input is not marched in place
     rng = np.random.default_rng(6)
     y = rng.random(20)
     w = rng.random(20) + 0.5

@@ -1,15 +1,17 @@
-"""Property tests for the agent-step kernels, the two-bump field and the
-inverse solve."""
+"""Property tests for the agent-step kernels, the two-bump field, the
+closed-form diffusion solve and the inverse solve."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
 from swarmcov import estimation as est
 from swarmcov.fields import _bump_terms, two_bump_field
-from swarmcov.grids import Domain
+from swarmcov.grids import Domain, Grid, GridFunction
+from swarmcov.pde import AdrCoefficients, cfl_max_dt, solve
 
 # magnitudes stay far from overflow of x - lo and 2 * span
 coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -86,6 +88,40 @@ def test_two_bump_values_match_bump_terms(pts):
     f2, _ = _bump_terms(pts, 6.0, 2.0)
     expected = np.maximum(f1 - f2, 0.0) + 0.01
     assert field.eval(pts).tobytes() == expected.tobytes()
+
+
+@st.composite
+def diffusion_problems(draw):
+    """(y0, w, t_end, snapshot times) on 2-40 cells of the unit interval:
+    w in [0.01, 10], y0 >= 0 (possibly all zero), at most 3000 steps."""
+    n = draw(st.integers(2, 40))
+    w = draw(hnp.arrays(float, n, elements=st.floats(0.01, 10.0)))
+    y0 = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1e3, allow_subnormal=False)))
+    grid = Grid(Domain.unit_interval(), (n,))
+    wf = GridFunction(grid, w)
+    t_end = draw(st.floats(1e-3, 1.0)) * 3000 * 0.9 * cfl_max_dt(wf)
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+    return GridFunction(grid, y0), wf, t_end, [t_end * u for u in fractions]
+
+
+@settings(max_examples=100, deadline=None)
+@given(diffusion_problems())
+def test_closed_form_diffusion_matches_the_march(case):
+    y0, w, t_end, snaps = case
+    rep = solve(y0, AdrCoefficients(w), t_end, snapshot_times=snaps)
+    h = y0.grid.spacing[0]
+    u, prev = y0.values, 0
+    for t, got in zip(rep.times, rep.active):
+        step = round(t / rep.dt)
+        u = pk.march_diffusion_1d(u, w.values, h, rep.dt, step - prev)
+        prev = step
+        assert np.abs(got.values - u).max() <= 1e-10 * np.abs(u).max()
+    assert prev == rep.n_steps
+    assert rep.mass_drift <= 1e-13
+    # data proportional to 1/w is the discrete steady state
+    still = GridFunction(y0.grid, 1.0 / w.values)
+    for got in solve(still, AdrCoefficients(w), t_end, snapshot_times=snaps).active:
+        assert np.abs(got.values - still.values).max() <= 1e-12 * still.values.max()
 
 
 @st.composite
