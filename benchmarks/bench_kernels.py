@@ -17,6 +17,9 @@ The graph rows sample a jump chain at the size the solvers benchmark's random
 graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps), write it as CSV,
 and propagate the master equation to 5 times, which must match
 scipy.linalg.expm of the generator to 1e-10 relative.
+The snapshot row writes three 2D snapshots of 1e5 agents, the coverage
+runs' swarm size, through the shared chunked CSV writer; its bytes must
+equal those of a row-by-row f-string writer, which is timed once beside it.
 
 Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--steps N]
        [--repeats N]
@@ -36,7 +39,14 @@ from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
 from swarmcov import estimation as est
 from swarmcov import graphs as gr
-from swarmcov import diffusion_coverage_law, pde, sine_field, two_bump_field
+from swarmcov import (
+    SwarmState,
+    diffusion_coverage_law,
+    pde,
+    sine_field,
+    snapshots_to_csv,
+    two_bump_field,
+)
 from swarmcov.grids import Domain, Grid, GridFunction
 
 
@@ -150,6 +160,21 @@ def main() -> None:
     prop_times = [0.25, 0.5, 1.0, 2.0, 4.0]
     tmpdir = tempfile.TemporaryDirectory()
     csv_path = os.path.join(tmpdir.name, "trajectory.csv")
+    # three 2D snapshots of a 1e5-agent swarm, half of it stopped
+    swarm = [
+        SwarmState(t, rng.random((100_000, 2)), (rng.random(100_000) < 0.5).astype(np.uint8))
+        for t in (0.5, 1.0, 1.5)
+    ]
+    snap_path = os.path.join(tmpdir.name, "snapshots.csv")
+
+    def per_row_snapshots(path):
+        # the row-by-row writer the chunked one replaces
+        with open(path, "w") as fh:
+            fh.write("t,agent_id,x,y,mode\n")
+            for snap in swarm:
+                for i in range(snap.n_agents):
+                    x, y = snap.positions[i]
+                    fh.write(f"{snap.time:.17g},{i},{x:.17g},{y:.17g},{int(snap.modes[i])}\n")
 
     marched = f"inverse map, 10 marched hats ({est._Plan(problem).n_steps} steps)"
     spectral = "inverse map, spectral (100 cells, 10 hats)"
@@ -158,6 +183,7 @@ def main() -> None:
     pde_marched = "1D pure-diffusion solve, marched (50 cells)"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
     writer = f"trajectory_to_csv ({jumps:,} jumps)"
+    snap_writer = "snapshots_to_csv (100,000 agents, 2D, 3 snapshots)"
 
     cases = [
         ("SDE active step (100,000 agents, 2D)", step(100_000, 2)),
@@ -180,6 +206,7 @@ def main() -> None:
         ),
         (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
         (writer, lambda: gr.trajectory_to_csv(chain, csv_path)),
+        (snap_writer, lambda: snapshots_to_csv(swarm, snap_path)),
         ("propagate (50 vertices, 5 times)", lambda: gr.propagate(graph, p_start, gf, 1.0, prop_times, -1)),
     ]
 
@@ -214,6 +241,16 @@ def main() -> None:
     print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
           f"{times[writer] / jumps * 1e6:.3f} us per row written "
           f"({os.path.getsize(csv_path):,} B)")
+    ref_path = os.path.join(tmpdir.name, "snapshots_per_row.csv")
+    t0 = time.perf_counter()
+    per_row_snapshots(ref_path)
+    per_row = time.perf_counter() - t0
+    with open(snap_path, "rb") as got, open(ref_path, "rb") as want:
+        if got.read() != want.read():
+            raise SystemExit("snapshots_to_csv bytes differ from the per-row writer's")
+    print(f"snapshots_to_csv: {per_row / times[snap_writer]:.1f}x faster than the per-row "
+          f"writer ({per_row * 1e3:.0f} ms once), bytes identical "
+          f"({os.path.getsize(snap_path):,} B)")
     tmpdir.cleanup()
 
 

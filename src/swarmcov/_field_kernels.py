@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def interp1_numpy(xq, lo, h, values):
+def interp1(xq, lo, h, values):
     n = values.shape[0]
     s = np.clip((np.asarray(xq, dtype=float) - lo) / h, 0.0, n - 1.0)
     i = np.minimum(s.astype(np.int64), n - 2)
@@ -13,7 +13,7 @@ def interp1_numpy(xq, lo, h, values):
     return values[i] * (1.0 - f) + values[i + 1] * f
 
 
-def interp2_numpy(xq, yq, lox, hx, loy, hy, values):
+def interp2(xq, yq, lox, hx, loy, hy, values):
     nx, ny = values.shape
     sx = np.clip((np.asarray(xq, dtype=float) - lox) / hx, 0.0, nx - 1.0)
     sy = np.clip((np.asarray(yq, dtype=float) - loy) / hy, 0.0, ny - 1.0)
@@ -31,7 +31,3 @@ def interp2_numpy(xq, yq, lox, hx, loy, hy, values):
         + v01 * (1.0 - fx) * fy
         + v11 * fx * fy
     )
-
-
-interp1 = interp1_numpy
-interp2 = interp2_numpy

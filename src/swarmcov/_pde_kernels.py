@@ -15,7 +15,7 @@ import numpy as np
 # -- pure diffusion, 1D ------------------------------------------------------
 
 
-def march_diffusion_1d_numpy(y, w, h, dt, nsteps):
+def march_diffusion_1d(y, w, h, dt, nsteps):
     out = y.copy()
     g = np.empty_like(out)
     q = np.zeros(out.shape[0] + 1)
@@ -51,7 +51,7 @@ def diffusion_eigenpairs_1d(r):
 # -- pure diffusion, 2D ------------------------------------------------------
 
 
-def march_diffusion_2d_numpy(y, w, hx, hy, dt, nsteps):
+def march_diffusion_2d(y, w, hx, hy, dt, nsteps):
     out = y.copy()
     nx, ny = out.shape
     qx = np.zeros((nx + 1, ny))
@@ -66,11 +66,10 @@ def march_diffusion_2d_numpy(y, w, hx, hy, dt, nsteps):
     return out
 
 
-
 # -- advection-diffusion-reaction, 1D ----------------------------------------
 
 
-def march_adr_1d_numpy(y1, y2, w, ax, H, k, h, dt, nsteps):
+def march_adr_1d(y1, y2, w, ax, H, k, h, dt, nsteps):
     u1 = y1.copy()
     u2 = y2.copy()
     n = u1.shape[0]
@@ -89,11 +88,10 @@ def march_adr_1d_numpy(y1, y2, w, ax, H, k, h, dt, nsteps):
     return u1, u2
 
 
-
 # -- advection-diffusion-reaction, 2D ----------------------------------------
 
 
-def march_adr_2d_numpy(y1, y2, w, ax, ay, H, k, hx, hy, dt, nsteps):
+def march_adr_2d(y1, y2, w, ax, ay, H, k, hx, hy, dt, nsteps):
     u1 = y1.copy()
     u2 = y2.copy()
     nx, ny = u1.shape
@@ -115,10 +113,3 @@ def march_adr_2d_numpy(y1, y2, w, ax, ay, H, k, hx, hy, dt, nsteps):
         back = k * u2
         u1, u2 = u1 + dt * ((divx + divy) + (back - trans)), u2 + dt * (trans - back)
     return u1, u2
-
-
-
-march_diffusion_1d = march_diffusion_1d_numpy
-march_diffusion_2d = march_diffusion_2d_numpy
-march_adr_1d = march_adr_1d_numpy
-march_adr_2d = march_adr_2d_numpy

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def reflect_numpy(x, lo, hi):
+def reflect_points(x, lo, hi):
     """Fold (n, d) positions into [lo, hi] per axis (specular boundary).
 
     Only the coordinates outside the box are folded: for 0 <= x - lo <= span,
@@ -28,7 +28,7 @@ def reflect_numpy(x, lo, hi):
     return r
 
 
-def step_active_numpy(pos, D, drift, dt, noise, lo, hi):
+def step_active(pos, D, drift, dt, noise, lo, hi):
     """One step for an all-active population; returns new positions.
 
     ``drift`` is an (n, d) array, or None for zero drift.
@@ -37,11 +37,11 @@ def step_active_numpy(pos, D, drift, dt, noise, lo, hi):
     term = (D * sig)[:, None] * noise
     if drift is None:
         term += pos
-        return reflect_numpy(term, lo, hi)
-    return reflect_numpy(pos + drift * dt + term, lo, hi)
+        return reflect_points(term, lo, hi)
+    return reflect_points(pos + drift * dt + term, lo, hi)
 
 
-def step_switching_numpy(pos, modes, D, drift, H, k, dt, noise, unif, lo, hi):
+def step_switching(pos, modes, D, drift, H, k, dt, noise, unif, lo, hi):
     """One step with stop-and-go switching; updates pos and modes in place.
 
     Active agents move and may deactivate with probability H(x)*dt (H taken at
@@ -49,7 +49,7 @@ def step_switching_numpy(pos, modes, D, drift, H, k, dt, noise, unif, lo, hi):
     with probability k*dt.
     """
     active = modes == 1
-    moved = step_active_numpy(pos, D, drift, dt, noise, lo, hi)
+    moved = step_active(pos, D, drift, dt, noise, lo, hi)
     pos[active] = moved[active]
     deact = active & (unif[:, 0] < H * dt)
     react = ~active & (unif[:, 1] < k * dt)
@@ -57,7 +57,7 @@ def step_switching_numpy(pos, modes, D, drift, H, k, dt, noise, unif, lo, hi):
     modes[react] = 1
 
 
-def bin_counts_numpy(pos, lo, hi, shape):
+def bin_counts(pos, lo, hi, shape):
     """Cell counts on a uniform grid; boundary points go to the interior cell."""
     n, d = pos.shape
     flat = np.zeros(n, dtype=np.int64)
@@ -71,9 +71,3 @@ def bin_counts_numpy(pos, lo, hi, shape):
         stride *= nj
     counts = np.bincount(flat, minlength=int(np.prod(shape)))
     return counts.reshape(tuple(shape))
-
-
-reflect_points = reflect_numpy
-step_active = step_active_numpy
-step_switching = step_switching_numpy
-bin_counts = bin_counts_numpy

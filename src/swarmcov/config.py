@@ -14,6 +14,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ._csv import read_csv
 from .errors import ConfigError
 from .fields import (
     AnalyticField,
@@ -373,11 +374,11 @@ def build_node_values(sec: dict[str, Any], n_vertices: int) -> np.ndarray:
         values = np.asarray(sec["values"], dtype=float)
     elif sec["path"]:
         try:
-            raw = np.atleast_1d(np.genfromtxt(sec["path"], delimiter=",", names=True))
+            raw = read_csv(sec["path"], "vertex,value")
         except OSError as exc:
             raise ConfigError(f"cannot read node values: {exc}") from exc
-        if raw.dtype.names != ("vertex", "value"):
-            raise ConfigError("node-value CSV needs header vertex,value")
+        except ValueError as exc:
+            raise ConfigError(f"node-value CSV: {exc}") from exc
         values = np.empty(len(raw))
         idx = raw["vertex"].astype(int)
         if sorted(idx) != list(range(len(raw))):

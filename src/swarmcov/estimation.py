@@ -28,13 +28,16 @@ active-set NNLS method of Lawson and Hanson.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _pde_kernels as _pk
+from ._csv import centers_to_axis, read_csv, write_csv
 from .errors import DegenerateFitError, NumericError
 from .fields import ScalarField, constant_diffusion_law, diffusion_coverage_law
 from .grids import Domain, Grid, GridFunction
@@ -62,6 +65,9 @@ __all__ = [
 ]
 
 _WIDTH_TOL = 1e-12
+# observe counts the swarm once per window cell and observation time: 1e4
+# cells take 0.11 s per time at 1e4 agents, and a finer partition minutes
+_MAX_WINDOW_CELLS = 10_000
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,9 @@ def window_partition(window: tuple[float, float], divisor: int) -> Partition:
     lo, hi = window
     if divisor < 1:
         raise ValueError("divisor must be a positive integer")
+    # exact: a float product overflows for a divisor past the float range
+    if math.ceil(Fraction(hi) * divisor) - math.floor(Fraction(lo) * divisor) > _MAX_WINDOW_CELLS:
+        raise ValueError(f"the divisor cuts the window into over {_MAX_WINDOW_CELLS} cells")
     cells = []
     k = int(np.floor(lo * divisor - 1e-9))
     while k / divisor < hi - _WIDTH_TOL:
@@ -524,11 +533,10 @@ def rescale_with_known(
 
 def save_observations_csv(path, obs: ObservationSeries) -> None:
     """Write rows t,cell_lo,cell_hi,fraction (one row per time and cell)."""
-    with open(path, "w") as fh:
-        fh.write("t,cell_lo,cell_hi,fraction\n")
-        for k, t in enumerate(obs.times):
-            for w, (lo, hi) in enumerate(obs.partition.cells):
-                fh.write(f"{t:.17g},{lo:.17g},{hi:.17g},{obs.fractions[k, w]:.17g}\n")
+    lo, hi = np.array(obs.partition.cells).T
+    k = len(obs.times)
+    write_csv(path, "t,cell_lo,cell_hi,fraction", "%.17g,%.17g,%.17g,%.17g",
+              np.repeat(obs.times, len(lo)), np.tile(lo, k), np.tile(hi, k), obs.fractions.ravel())
 
 
 def load_observations_csv(path, n_agents: int = 0) -> ObservationSeries:
@@ -537,11 +545,7 @@ def load_observations_csv(path, n_agents: int = 0) -> ObservationSeries:
     The agent count is not stored in the file; pass it if downstream code
     needs it (the inverse solve does not).
     """
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    raw = np.atleast_1d(raw)
-    expected = ("t", "cell_lo", "cell_hi", "fraction")
-    if raw.dtype.names != expected:
-        raise ValueError(f"expected header {','.join(expected)}")
+    raw = read_csv(path, "t,cell_lo,cell_hi,fraction")
     if raw.size == 0:
         raise ValueError("no observation rows")
     for name in ("t", "cell_lo", "cell_hi"):
@@ -566,34 +570,20 @@ def load_observations_csv(path, n_agents: int = 0) -> ObservationSeries:
 
 def save_estimate_csv(path, u_hat: GridFunction, scaled: Optional[GridFunction] = None) -> None:
     """Write rows x,u_hat[,F_scaled] at estimation-grid cell centers."""
-    xs = u_hat.grid.centers(0)
-    with open(path, "w") as fh:
-        if scaled is None:
-            fh.write("x,u_hat\n")
-            for x, v in zip(xs, u_hat.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
-        else:
-            fh.write("x,u_hat,F_scaled\n")
-            for x, v, s in zip(xs, u_hat.values, scaled.values):
-                fh.write(f"{x:.17g},{v:.17g},{s:.17g}\n")
+    columns = [u_hat.grid.centers(0), u_hat.values] + ([] if scaled is None else [scaled.values])
+    header = "x,u_hat" if scaled is None else "x,u_hat,F_scaled"
+    write_csv(path, header, ",".join(["%.17g"] * len(columns)), *columns)
 
 
 def load_estimate_csv(path) -> tuple[GridFunction, Optional[GridFunction]]:
     """Read the format written by save_estimate_csv; returns (u_hat, scaled or None)."""
-    raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    names = raw.dtype.names
-    if names is None or names[:2] != ("x", "u_hat"):
-        raise ValueError("expected header x,u_hat[,F_scaled]")
-    xs = np.asarray(raw["x"], dtype=float)
-    if len(xs) < 2:
-        raise ValueError("need at least two rows")
-    h = xs[1] - xs[0]
-    if not np.allclose(np.diff(xs), h, rtol=1e-9, atol=1e-12):
-        raise ValueError("cell centers must be uniformly spaced")
-    domain = Domain(((float(xs[0] - h / 2), float(xs[-1] + h / 2)),))
-    grid = Grid(domain, (len(xs),))
+    raw = read_csv(path, "x,u_hat", "x,u_hat,F_scaled")
+    if len(raw) < 2 or (np.diff(raw["x"]) <= 0).any():
+        raise ValueError("need at least two rows, with x increasing")
+    lo, hi, n = centers_to_axis(raw["x"])
+    grid = Grid(Domain(((lo, hi),)), (n,))
     u_hat = GridFunction(grid, np.asarray(raw["u_hat"], dtype=float))
     scaled = None
-    if "F_scaled" in names:
+    if "F_scaled" in raw.dtype.names:
         scaled = GridFunction(grid, np.asarray(raw["F_scaled"], dtype=float))
     return u_hat, scaled

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _field_kernels as _fk
+from ._csv import write_csv
 from .errors import DomainError
 from .grids import Domain, Grid, as_points
 
@@ -414,17 +415,12 @@ def constant_diffusion_law(D0: float) -> ControlLaws:
 
 def save_field_csv(field: GridField, path) -> None:
     """Write node samples as CSV with header x[,y],value, row-major (x outer)."""
-    with open(path, "w") as fh:
-        if len(field.axes) == 1:
-            fh.write("x,value\n")
-            for x, v in zip(field.axes[0], field.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
-        else:
-            fh.write("x,y,value\n")
-            xs, ys = field.axes
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    fh.write(f"{x:.17g},{y:.17g},{field.values[i, j]:.17g}\n")
+    if len(field.axes) == 1:
+        write_csv(path, "x,value", "%.17g,%.17g", field.axes[0], field.values)
+    else:
+        xs, ys = field.axes
+        columns = np.repeat(xs, len(ys)), np.tile(ys, len(xs)), field.values.ravel()
+        write_csv(path, "x,y,value", "%.17g,%.17g,%.17g", *columns)
 
 
 def load_field_csv(path) -> GridField:

@@ -16,6 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._csv import read_csv, write_csv
+
 __all__ = [
     "Graph",
     "Trajectory",
@@ -35,7 +37,6 @@ __all__ = [
 
 _BATCH = 1 << 16  # uniforms drawn per batch, for holding times and choices alike
 _CHAIN_SLICE = 8192  # jumps walked per Python list
-_CSV_ROWS = 8192  # trajectory rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -313,21 +314,12 @@ def load_edge_list(path, n_vertices: Optional[int] = None) -> Graph:
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write one "t,vertex" row per jump, times at 17 significant digits."""
-    with open(path, "w") as fh:
-        fh.write("t,vertex\n")
-        for lo in range(0, len(traj.times), _CSV_ROWS):
-            t = traj.times[lo : lo + _CSV_ROWS].tolist()
-            cells = [None] * (2 * len(t))
-            cells[::2] = t
-            cells[1::2] = traj.vertices[lo : lo + _CSV_ROWS].tolist()
-            fh.write(("%.17g,%d\n" * len(t)) % tuple(cells))
+    write_csv(path, "t,vertex", "%.17g,%d", traj.times, traj.vertices)
 
 
 def load_trajectory_csv(path) -> Trajectory:
     """Read the format written by trajectory_to_csv."""
-    raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    if raw.dtype.names != ("t", "vertex"):
-        raise ValueError("expected header t,vertex")
+    raw = read_csv(path, "t,vertex")
     return Trajectory(
         np.asarray(raw["t"], dtype=float), np.asarray(raw["vertex"], dtype=np.int64)
     )

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _sde_kernels as _sk
+from ._csv import centers_to_axis, read_csv, write_csv
 from .errors import ConfigError
 from .fields import ControlLaws
 from .grids import Domain, Grid, GridFunction, as_points, snapshot_steps
@@ -238,12 +239,11 @@ def snapshots_to_csv(snapshots: Sequence[SwarmState], path) -> None:
         raise ValueError("no snapshots to write")
     dim = snapshots[0].positions.shape[1]
     header = "t,agent_id,x,mode" if dim == 1 else "t,agent_id,x,y,mode"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for snap in snapshots:
-            for i in range(snap.n_agents):
-                coords = ",".join(f"{c:.17g}" for c in snap.positions[i])
-                fh.write(f"{snap.time:.17g},{i},{coords},{int(snap.modes[i])}\n")
+    times = np.repeat([s.time for s in snapshots], [s.n_agents for s in snapshots])
+    ids = np.concatenate([np.arange(s.n_agents) for s in snapshots])
+    positions = np.concatenate([s.positions for s in snapshots]).T
+    modes = np.concatenate([s.modes for s in snapshots])
+    write_csv(path, header, "%.17g,%d," + "%.17g," * dim + "%d", times, ids, *positions, modes)
 
 
 def histogram_series_to_csv(entries: Sequence[tuple[float, GridFunction]], path) -> None:
@@ -252,23 +252,16 @@ def histogram_series_to_csv(entries: Sequence[tuple[float, GridFunction]], path)
         raise ValueError("no histograms to write")
     grid = entries[0][1].grid
     header = "t,cell_x,density" if grid.dim == 1 else "t,cell_x,cell_y,density"
-    centers = grid.center_points()
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, gf in entries:
-            vals = gf.values.ravel()
-            for c, v in zip(centers, vals):
-                coords = ",".join(f"{x:.17g}" for x in c)
-                fh.write(f"{t:.17g},{coords},{v:.17g}\n")
+    times = np.repeat([t for t, _ in entries], grid.n_cells)
+    centers = np.tile(grid.center_points(), (len(entries), 1)).T
+    values = np.concatenate([gf.values.ravel() for _, gf in entries])
+    write_csv(path, header, ",".join(["%.17g"] * (grid.dim + 2)), times, *centers, values)
 
 
 def load_snapshots_csv(path) -> list[SwarmState]:
     """Read the format written by snapshots_to_csv."""
-    raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    names = raw.dtype.names
-    if names not in (("t", "agent_id", "x", "mode"), ("t", "agent_id", "x", "y", "mode")):
-        raise ValueError("expected header t,agent_id,x[,y],mode")
-    coords = ["x"] if "y" not in names else ["x", "y"]
+    raw = read_csv(path, "t,agent_id,x,mode", "t,agent_id,x,y,mode")
+    coords = ["x"] if "y" not in raw.dtype.names else ["x", "y"]
     out = []
     for t in np.unique(raw["t"]):
         rows = raw[raw["t"] == t]
@@ -279,26 +272,13 @@ def load_snapshots_csv(path) -> list[SwarmState]:
     return out
 
 
-def _centers_to_axis(centers: np.ndarray) -> tuple[float, float, int]:
-    centers = np.unique(centers)
-    if len(centers) < 1:
-        raise ValueError("no cells in file")
-    h = centers[1] - centers[0] if len(centers) > 1 else 1.0
-    if not np.allclose(np.diff(centers), h, rtol=1e-9, atol=1e-12):
-        raise ValueError("cell centers must be uniformly spaced")
-    return float(centers[0] - h / 2), float(centers[-1] + h / 2), len(centers)
-
-
 def load_histogram_series_csv(path) -> list[tuple[float, GridFunction]]:
     """Read the format written by histogram_series_to_csv."""
-    raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    names = raw.dtype.names
-    if names not in (("t", "cell_x", "density"), ("t", "cell_x", "cell_y", "density")):
-        raise ValueError("expected header t,cell_x[,cell_y],density")
-    axes = ["cell_x"] if "cell_y" not in names else ["cell_x", "cell_y"]
+    raw = read_csv(path, "t,cell_x,density", "t,cell_x,cell_y,density")
+    axes = ["cell_x"] if "cell_y" not in raw.dtype.names else ["cell_x", "cell_y"]
     extents, shape = [], []
     for name in axes:
-        lo, hi, n = _centers_to_axis(raw[name])
+        lo, hi, n = centers_to_axis(raw[name])
         extents.append((lo, hi))
         shape.append(n)
     grid = Grid(Domain(tuple(extents)), tuple(shape))

@@ -376,6 +376,23 @@ def test_graph_sample_t_end_accepts_inf(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "table",
+    [
+        pytest.param("node,value\n0,1.0\n1,2.0\n2,1.5\n", id="wrong-header"),
+        pytest.param("vertex,value\n0,1.0\n1,2.0,7\n2,1.5\n", id="ragged-row"),
+    ],
+)
+def test_cli_exit_two_on_bad_node_value_table(tmp_path, capsys, table):
+    (tmp_path / "values.csv").write_text(table)
+    text = MINIMAL_GRAPH.replace("values = 1.0, 2.0, 1.5", "path = values.csv")
+    out = tmp_path / "out"
+    assert main(["graph", "--config", _write(tmp_path, text, out=str(out))]) == 2
+    err = capsys.readouterr().err
+    assert "config error: node-value CSV" in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
     "edits",
     [
         pytest.param([("c = 1.0", "c = 1e-300\nexponent = -1")], id="rates-underflow-to-zero"),
@@ -486,6 +503,11 @@ def _run_estimate(tmp_path, text, edits=()):
         pytest.param(PROTOCOL_CONFIG, None, None, [("hi = 1.0", "hi = 0.7")], id="protocol-empty-window"),
         pytest.param(PROTOCOL_CONFIG, None, None, [("divisor = 10", "divisor = 0")],
                      id="protocol-divisor-zero"),
+        # more window cells than observe can count in reasonable time
+        pytest.param(PROTOCOL_CONFIG, None, None, [("divisor = 10", "divisor = 1000000000")],
+                     id="protocol-divisor-huge"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("divisor = 10", "divisor = 1" + "0" * 400)],
+                     id="protocol-divisor-past-float"),
         # a window outside the field's domain is rejected before the swarm runs
         pytest.param(PROTOCOL_CONFIG, None, None, [("lo = 0.7", "lo = -0.5")],
                      id="protocol-window-below-domain"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmcov import _csv
 from swarmcov import graphs as gr
 from swarmcov import (
     Domain,
@@ -360,11 +361,11 @@ def test_sample_ctmc_clamps_a_choice_of_one(monkeypatch):
 def test_trajectory_csv_bytes_match_per_row_writer(tmp_path):
     # longer than one write chunk, with the float values hardest to print
     g = random_connected_graph(30, 20, np.random.default_rng(8))
-    n = 3 * gr._CSV_ROWS + 5
+    n = 3 * _csv._CHUNK_ROWS + 5
     traj = sample_ctmc(g, np.linspace(0.2, 3.0, 30), 1.0, 0, np.inf, 31, -1, n - 1)
     special = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e22, 1.7976931348623157e308, np.inf]
     traj.times[1 : 1 + len(special)] = special
-    traj.times[gr._CSV_ROWS - 1 : gr._CSV_ROWS + 1] = [np.nextafter(2.0, 3.0), 123456789.125]
+    traj.times[_csv._CHUNK_ROWS - 1 : _csv._CHUNK_ROWS + 1] = [np.nextafter(2.0, 3.0), 123456789.125]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     trajectory_to_csv(traj, got)
     _reference_csv(traj, want)

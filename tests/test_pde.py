@@ -308,7 +308,7 @@ def test_march_1d_keeps_its_input_and_composes_bitwise():
     h = 1.0 / 20
     dt = 0.9 * h * h / (2.0 * w.max())
     y0 = y.copy()
-    whole = pk.march_diffusion_1d_numpy(y, w, h, dt, 40)
-    split = pk.march_diffusion_1d_numpy(pk.march_diffusion_1d_numpy(y, w, h, dt, 15), w, h, dt, 25)
+    whole = pk.march_diffusion_1d(y, w, h, dt, 40)
+    split = pk.march_diffusion_1d(pk.march_diffusion_1d(y, w, h, dt, 15), w, h, dt, 25)
     assert np.array_equal(whole, split)
     assert np.array_equal(y, y0)

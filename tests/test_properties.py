@@ -54,7 +54,7 @@ def _reflect_every_element(x, lo, hi):
 @given(boxed_points())
 def test_reflect_matches_folding_every_element(case):
     x, lo, hi = case
-    got = sk.reflect_numpy(x.copy(), lo, hi)
+    got = sk.reflect_points(x.copy(), lo, hi)
     assert got.tobytes() == _reflect_every_element(x, lo, hi).tobytes()
 
 
@@ -62,9 +62,9 @@ def test_reflect_matches_folding_every_element(case):
 @given(boxed_points())
 def test_reflect_lands_in_box_and_is_idempotent(case):
     x, lo, hi = case
-    once = sk.reflect_numpy(x, lo, hi)
+    once = sk.reflect_points(x, lo, hi)
     assert np.all(once >= lo) and np.all(once <= hi)
-    assert sk.reflect_numpy(once, lo, hi).tobytes() == once.tobytes()
+    assert sk.reflect_points(once, lo, hi).tobytes() == once.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -74,8 +74,8 @@ def test_step_without_drift_equals_zero_drift(case, dt, seed):
     rng = np.random.default_rng(seed)
     D = rng.random(pos.shape[0]) * 10.0
     noise = rng.standard_normal(pos.shape)
-    none = sk.step_active_numpy(pos, D, None, dt, noise, lo, hi)
-    zero = sk.step_active_numpy(pos, D, np.zeros_like(pos), dt, noise, lo, hi)
+    none = sk.step_active(pos, D, None, dt, noise, lo, hi)
+    zero = sk.step_active(pos, D, np.zeros_like(pos), dt, noise, lo, hi)
     assert none.tobytes() == zero.tobytes()
 
 
