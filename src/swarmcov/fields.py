@@ -191,7 +191,7 @@ class GridField(ScalarField):
         return self._interp(pts, self.values)
 
     def _gradient(self, pts):
-        out = np.empty((pts.shape[0], len(self.axes)))
+        out = np.empty((pts.shape[0], len(self.axes)), order="F")
         for axis, g in enumerate(self._grads):
             out[:, axis] = self._interp(pts, g)
         return out

@@ -173,14 +173,16 @@ def simulate(
         if max_h * dt >= 1.0:
             raise ConfigError(f"dt*max(H) ~ {max_h * dt:g} must stay below 1")
 
+    # the swarm is held column-major, so each per-agent operation runs one
+    # contiguous loop per axis; snapshots are C-ordered copies
     if initial_state is not None:
-        positions = np.ascontiguousarray(initial_state.positions, dtype=float).copy()
+        positions = np.array(initial_state.positions, dtype=float, order="F")
         modes = np.ascontiguousarray(initial_state.modes, dtype=np.uint8).copy()
         t0 = initial_state.time
         if positions.shape != (config.n_agents, domain.dim):
             raise ConfigError("initial state does not match agent count / dimension")
     else:
-        positions = np.ascontiguousarray(_initial_positions(config, domain))
+        positions = np.asfortranarray(_initial_positions(config, domain))
         modes = np.ones(config.n_agents, dtype=np.uint8)
         t0 = 0.0
 
@@ -199,7 +201,7 @@ def simulate(
     record(0)
     for step in range(1, n_steps + 1):
         rng = _stream(config.seed, step_offset + step)
-        noise = rng.standard_normal((n, domain.dim))
+        noise = np.asfortranarray(rng.standard_normal((n, domain.dim)))
         D = laws.D_at(positions)
         drift = None if laws.a is None else laws.a_at(positions)
         if switching:

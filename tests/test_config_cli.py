@@ -546,6 +546,26 @@ def test_cli_exit_three_on_non_finite_solve(tmp_path, capsys, rows):
     assert "numeric error" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_exit_three_on_nan_positions(tmp_path, capsys):
+    # sqrt(2 dt) D = sqrt(2) c1 / sqrt(F) reaches 1.4e308 on the field's
+    # background, so the first step overflows to inf, reflection folds inf to
+    # NaN, and the field's domain check turns the NaN positions of the next
+    # step into a numeric error
+    text = MINIMAL_COVERAGE
+    for old, new in [("kind = sine", "kind = two_bump"), ("c1 = 0.1", "c1 = 1e307"),
+                     ("agents = 50", "agents = 100"), ("dt = 0.01", "dt = 1"),
+                     ("t_end = 0.05", "t_end = 3")]:
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    assert main(["coverage", "--config", _write(tmp_path, text, out=str(out))]) == 3
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "outside the field domain" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is imported inside the functions that use it, so starting the
     # command line does not pay for it

@@ -29,6 +29,8 @@ from swarmcov import (
     uniform_times,
     window_partition,
 )
+from swarmcov import estimation as est
+
 UNIT = Domain.unit_interval()
 
 
@@ -107,6 +109,50 @@ def test_observe_last_cell_closed():
     part = window_partition((0.7, 1.0), 10)
     series = observe([_snap(1.0, [1.0])], part)
     assert series.fractions[0, 2] == pytest.approx(1.0)
+
+
+def _count_per_cell(x, partition):
+    # the per-cell count _count_in_cells replaces: two passes over the swarm
+    # for each cell
+    counts = np.empty(partition.n_cells)
+    win_hi = partition.window[1]
+    for w, (lo, hi) in enumerate(partition.cells):
+        if hi >= win_hi - est._WIDTH_TOL:
+            counts[w] = np.count_nonzero((x >= lo) & (x <= hi))
+        else:
+            counts[w] = np.count_nonzero((x >= lo) & (x < hi))
+    return counts
+
+
+def test_count_in_cells_matches_the_per_cell_count(tmp_path):
+    # a loaded table whose neighbouring cells meet within _WIDTH_TOL, with
+    # overlaps and gaps of a few 1e-13, beside partitions made by the code
+    edges = [(0.3, 0.4 + 4e-13), (0.4 - 3e-13, 0.55), (0.55 + 5e-13, 0.8), (0.8, 1.0 - 2e-13)]
+    rows = ["t,cell_lo,cell_hi,fraction"] + [f"1.5,{lo!r},{hi!r},0.1" for lo, hi in edges]
+    (tmp_path / "obs.csv").write_text("\n".join(rows) + "\n")
+    loaded = load_observations_csv(tmp_path / "obs.csv").partition
+    assert loaded.cells == tuple(edges)
+    rng = np.random.default_rng(5)
+    for part in (
+        loaded,
+        window_partition((0.7, 1.0), 10),
+        window_partition((0.7, 1.0), 100),
+        window_partition((0.25, 0.8), 7),
+        window_partition((0.0, 1.0), 1),
+    ):
+        lo, hi = part.window
+        cell_edges = np.array(part.cells).ravel()
+        x = np.concatenate([
+            cell_edges,  # every edge, on both sides of each meeting point
+            np.nextafter(cell_edges, -np.inf),
+            np.nextafter(cell_edges, np.inf),
+            [lo, hi, hi, -0.0, -1.0, 2.0, np.nan, np.inf, -np.inf],
+            rng.uniform(lo - 0.1, hi + 0.1, 500),
+        ])
+        rng.shuffle(x)
+        got = est._count_in_cells(x, part)
+        assert got.dtype == float
+        assert np.array_equal(got, _count_per_cell(x, part))
 
 
 def test_uniform_times():
