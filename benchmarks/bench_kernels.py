@@ -23,9 +23,10 @@ The graph rows sample a jump chain at the size the solvers benchmark's random
 graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps), write it as CSV,
 and propagate the master equation to 5 times, which must match
 scipy.linalg.expm of the generator to 1e-10 relative.
-The snapshot row writes three 2D snapshots of 1e5 agents, the coverage
-runs' swarm size, through the shared chunked CSV writer; its bytes must
-equal those of a row-by-row f-string writer, which is timed once beside it.
+The CSV rows write the 3e5-jump trajectory and three 2D snapshots of 1e5
+agents, the coverage runs' swarm size, with write_csv, which formats the
+cells in numpy, and with the chunked % writer it replaced, kept here as the
+reference; the two must write the same bytes.
 
 Usage: python3 benchmarks/bench_kernels.py [--agents N] [--cells N] [--steps N]
        [--repeats N]
@@ -66,6 +67,20 @@ def median_time(fn, repeats: int) -> float:
         fn()
         samples.append(time.perf_counter() - t0)
     return float(np.median(samples))
+
+
+def percent_write_csv(path, header, row_format, *columns):
+    """The chunked writer write_csv replaced: 8192 rows per % operation."""
+    columns = [np.asarray(c) for c in columns]
+    width, n_rows = len(columns), len(columns[0])
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n_rows, 8192):
+            hi = min(lo + 8192, n_rows)
+            cells = [None] * (width * (hi - lo))
+            for j, col in enumerate(columns):
+                cells[j::width] = col[lo:hi].tolist()
+            fh.write(((row_format + "\n") * (hi - lo)) % tuple(cells))
 
 
 def interp2_reference(xq, yq, lox, hx, loy, hy, values):
@@ -203,15 +218,14 @@ def main() -> None:
         for t in (0.5, 1.0, 1.5)
     ]
     snap_path = os.path.join(tmpdir.name, "snapshots.csv")
-
-    def per_row_snapshots(path):
-        # the row-by-row writer the chunked one replaces
-        with open(path, "w") as fh:
-            fh.write("t,agent_id,x,y,mode\n")
-            for snap in swarm:
-                for i in range(snap.n_agents):
-                    x, y = snap.positions[i]
-                    fh.write(f"{snap.time:.17g},{i},{x:.17g},{y:.17g},{int(snap.modes[i])}\n")
+    # the columns snapshots_to_csv writes, for the reference writer
+    snap_columns = (np.repeat([s.time for s in swarm], 100_000), np.tile(np.arange(100_000), 3),
+                    *np.concatenate([s.positions for s in swarm]).T,
+                    np.concatenate([s.modes for s in swarm]))
+    csv_refs = {
+        csv_path: ("t,vertex", "%.17g,%d", chain.times, chain.vertices),
+        snap_path: ("t,agent_id,x,y,mode", "%.17g,%d,%.17g,%.17g,%d", *snap_columns),
+    }
 
     marched = f"inverse map, 10 marched hats ({est._Plan(problem).n_steps} steps)"
     spectral = "inverse map, spectral (100 cells, 10 hats)"
@@ -227,7 +241,9 @@ def main() -> None:
     pde_marched = "1D pure-diffusion solve, marched (50 cells)"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
     writer = f"trajectory_to_csv ({jumps:,} jumps)"
+    writer_ref = "trajectory, chunked % writer (reference)"
     snap_writer = "snapshots_to_csv (100,000 agents, 2D, 3 snapshots)"
+    snap_ref = "snapshots, chunked % writer (reference)"
 
     cases = [
         (step_c, lambda: sk.step_active(swarm_c, D2, None, dt, noise_c, lo, hi)),
@@ -257,7 +273,9 @@ def main() -> None:
         ),
         (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
         (writer, lambda: gr.trajectory_to_csv(chain, csv_path)),
+        (writer_ref, lambda: percent_write_csv(csv_path + ".ref", *csv_refs[csv_path])),
         (snap_writer, lambda: snapshots_to_csv(swarm, snap_path)),
+        (snap_ref, lambda: percent_write_csv(snap_path + ".ref", *csv_refs[snap_path])),
         ("propagate (50 vertices, 5 times)", lambda: gr.propagate(graph, p_start, gf, 1.0, prop_times, -1)),
     ]
 
@@ -306,18 +324,13 @@ def main() -> None:
         raise SystemExit(f"propagate differs from expm by {rel:.1e} relative")
     print(f"propagate: {rel:.1e} largest relative difference from expm")
     print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
-          f"{times[writer] / jumps * 1e6:.3f} us per row written "
-          f"({os.path.getsize(csv_path):,} B)")
-    ref_path = os.path.join(tmpdir.name, "snapshots_per_row.csv")
-    t0 = time.perf_counter()
-    per_row_snapshots(ref_path)
-    per_row = time.perf_counter() - t0
-    with open(snap_path, "rb") as got, open(ref_path, "rb") as want:
-        if got.read() != want.read():
-            raise SystemExit("snapshots_to_csv bytes differ from the per-row writer's")
-    print(f"snapshots_to_csv: {per_row / times[snap_writer]:.1f}x faster than the per-row "
-          f"writer ({per_row * 1e3:.0f} ms once), bytes identical "
-          f"({os.path.getsize(snap_path):,} B)")
+          f"{times[writer] / jumps * 1e6:.3f} us per row written")
+    for path, label, ref in ((csv_path, writer, writer_ref), (snap_path, snap_writer, snap_ref)):
+        with open(path, "rb") as got, open(path + ".ref", "rb") as want:
+            if got.read() != want.read():
+                raise SystemExit(f"{label} bytes differ from the chunked % writer's")
+        print(f"{label}: {times[ref] / times[label]:.1f}x faster than the chunked % writer, "
+              f"bytes identical ({os.path.getsize(path):,} B)")
     tmpdir.cleanup()
 
 

@@ -355,10 +355,11 @@ class ControlLaws:
 
 
 def diffusion_coverage_law(field: ScalarField, c1: float, c2: float = 0.0) -> ControlLaws:
-    """Diffusion-driven coverage: D = c1/sqrt(F) + c2, a = c2*grad(F)/F, H = 0.
+    """Diffusion-driven coverage: D = c1/sqrt(F) + c2, a = c2*D*grad(F)/F, H = 0.
 
-    With c2 = 0 this is the pure form whose stationary swarm density is
-    proportional to F.
+    The mean-field flux is grad(w*y) - a*y with w = D^2, so y proportional to
+    F is stationary when a = grad(w*F)/F; for this D that is c2*D*grad(F)/F.
+    With c2 = 0 there is no drift: D^2*F = c1^2 is constant.
     """
     if c1 <= 0:
         raise ValueError("c1 must be positive")
@@ -373,7 +374,8 @@ def diffusion_coverage_law(field: ScalarField, c1: float, c2: float = 0.0) -> Co
     else:
 
         def drift(pts):
-            return c2 * field.gradient(pts) / field.eval(pts)[:, None]
+            F = field.eval(pts)
+            return (c2 * (c1 / np.sqrt(F) + c2) / F)[:, None] * field.gradient(pts)
 
     return ControlLaws(D=D, a=drift, H=None, k=0.0)
 

@@ -546,24 +546,43 @@ def test_cli_exit_three_on_non_finite_solve(tmp_path, capsys, rows):
     assert "numeric error" in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_exit_three_on_nan_positions(tmp_path, capsys):
-    # sqrt(2 dt) D = sqrt(2) c1 / sqrt(F) reaches 1.4e308 on the field's
-    # background, so the first step overflows to inf, reflection folds inf to
-    # NaN, and the field's domain check turns the NaN positions of the next
-    # step into a numeric error
+def _overflowing_coverage(tmp_path, out):
+    """A coverage config whose first step overflows.
+
+    sqrt(2 dt) D = sqrt(2) c1 / sqrt(F) reaches 1.4e308 on the field's
+    background, so the first step overflows to inf, reflection folds inf to
+    NaN, and the field's domain check turns the NaN positions of the next
+    step into a numeric error.
+    """
     text = MINIMAL_COVERAGE
     for old, new in [("kind = sine", "kind = two_bump"), ("c1 = 0.1", "c1 = 1e307"),
                      ("agents = 50", "agents = 100"), ("dt = 0.01", "dt = 1"),
                      ("t_end = 0.05", "t_end = 3")]:
         assert old in text
         text = text.replace(old, new)
+    return _write(tmp_path, text, out=str(out))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_exit_three_on_nan_positions(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["coverage", "--config", _write(tmp_path, text, out=str(out))]) == 3
+    assert main(["coverage", "--config", _overflowing_coverage(tmp_path, out)]) == 3
     err = capsys.readouterr().err
     assert "numeric error" in err and "outside the field domain" in err
     assert "Traceback" not in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_numeric_exit_prints_only_the_numeric_error(tmp_path):
+    # a fresh interpreter with the default warning filters, which would print
+    # numpy's overflow and invalid-value RuntimeWarnings with their source lines
+    path = _overflowing_coverage(tmp_path, tmp_path / "out")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(est.__file__)))
+    run = subprocess.run([sys.executable, "-m", "swarmcov.cli", "coverage", "--config", path],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 3
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("swarmcov: numeric error: ")
 
 
 def test_cli_import_loads_no_scipy():

@@ -85,6 +85,50 @@ def test_write_csv_bytes_match_per_row_writer(tmp_path_factory, data, n):
     assert got.read_bytes().count(b"\n") == n + 1
 
 
+def _write_and_compare(path, kinds, *columns):
+    """write_csv's bytes for these columns equal the per-row writer's."""
+    header = ",".join(f"c{j}" for j in range(len(kinds)))
+    _csv.write_csv(path, header, ",".join({"g": "%.17g", "d": "%d"}[k] for k in kinds), *columns)
+    _assert_rows(path, kinds, zip(*columns))
+
+
+def test_write_csv_matches_percent_on_raw_bit_patterns(tmp_path):
+    # 2e5 uniform 64-bit patterns (mostly outside the numpy range, so mostly
+    # left to %), then 2e5 doubles spread over the magnitudes 1e-12..3e17
+    rng = np.random.default_rng(20161)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    spread = 10.0 ** rng.uniform(-12.0, 17.5, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    for values in (bits, spread):
+        path = tmp_path / "cells.csv"
+        _csv.write_csv(path, "x", "%.17g", values)
+        want = "x\n" + "".join(["%.17g\n" % x for x in values.tolist()])
+        assert path.read_bytes() == want.encode()
+
+
+def test_write_csv_edge_cases_match_per_row_writer(tmp_path):
+    path = tmp_path / "edges.csv"
+    _csv.write_csv(path, "x", "%.17g", [1e-07])
+    # the exponent comes from the digits before rounding, not after
+    assert path.read_text() == "x\n9.9999999999999995e-08\n"
+
+    powers = np.array([10.0**k for k in range(-12, 19)] + [float(f"1e{k}") for k in range(-12, 19)])
+    # exact ties at 17 digits (left to %), and values exact in binary
+    ties = [123456789012345.125, 123456789012345.375, 0.5, 2.5, 123456789.125]
+    ties += [2.0**-k for k in range(61)]
+    edges = np.array([1e-10, 1e16])
+    floats = np.concatenate([
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        ties, edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, 2.2250738585072014e-308],
+    ])
+    floats = np.concatenate([floats, -floats])
+    info = np.iinfo(np.int64)
+    ints = np.resize(np.array([info.min, info.max, 0, -1, 1, info.min + 1, 10**16, -(10**17)]),
+                     len(floats))
+    small = np.resize(np.arange(256, dtype=np.uint8), len(floats))
+    _write_and_compare(path, "gdgd", floats, ints, floats[::-1], small)
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -233,6 +233,32 @@ def test_steady_state_matches_normalized_field():
     assert tv_distance(pi, ref) <= 1e-12
 
 
+@pytest.mark.parametrize("c2", [0.05, 0.2])
+def test_drift_law_stationary_vector_matches_field(c2):
+    """The stationary vector of the upwind generator the drift law gives is F, to O(h).
+
+    In 1D it has zero flux on every face, (w[i+1]*y[i+1] - w[i]*y[i]) / h =
+    af*y(upwind) with af the face drift, which fixes it by a recursion.
+    """
+    field = sine_field()
+    errors = []
+    for n in (100, 200):
+        grid = Grid(UNIT, (n,))
+        coeffs = coefficients_from_laws(diffusion_coverage_law(field, 0.1, c2), grid)
+        w, h = coeffs.w.values, grid.spacing[0]
+        af = 0.5 * (coeffs.a[0].values[:-1] + coeffs.a[0].values[1:])
+        ratio = np.where(af > 0.0, (w[:-1] + h * af) / w[1:], w[:-1] / (w[1:] - h * af))
+        y = np.concatenate([[1.0], np.cumprod(ratio)])
+        pi = _gf(grid, y / (y.sum() * grid.cell_volume))
+        zero = _gf(grid, np.zeros(n))
+        stepped, _ = step_adr(pi, zero, coeffs, 0.9 * cfl_max_dt(coeffs.w, coeffs.a))
+        assert np.abs(stepped.values - pi.values).max() <= 1e-12 * pi.values.max()
+        vals = field.eval(grid.center_points())
+        errors.append(tv_distance(pi, _gf(grid, vals / (vals.sum() * grid.cell_volume))))
+    assert errors[0] <= 0.3 * (1.0 / 100)
+    assert errors[1] <= 0.6 * errors[0]
+
+
 def test_decay_rate_analytic_neumann_mode():
     # constant w: y0 = 1 + eps*cos(pi x) decays at rate w*pi^2
     w0 = 0.7
