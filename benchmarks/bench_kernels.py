@@ -9,6 +9,8 @@ C-ordered (n, 2) array and column-major, the layout sde.simulate keeps; the
 two must agree bit for bit.  The interp2 row interpolates a 33x33 node grid
 (the benchmark's CSV field size) at 1e5 points and must match, bit for bit,
 the per-corner formula it replaced, kept here as the reference.
+The FV march rows step pure diffusion with the one finite-volume march,
+_pde_kernels.march: 1D on --cells cells and 2D on a square of about as many.
 The inverse-solve rows run at the est_sin settings (25 observation times
 over 50 time units, d = 0.005, 100 cells, 10 hats, the 30-cell fine window
 partition): the spectral forward map, the whole solve, the NNLS
@@ -177,7 +179,7 @@ def main() -> None:
         for hat in plan.basis.T:
             u, prev, blocks = hat, 0, []
             for s in plan.obs_steps:
-                u = pk.march_diffusion_1d(u, w, plan.h, plan.dt, int(s) - prev)
+                u, _ = pk.march(u, None, w, None, 0.0, 0.0, (plan.h,), plan.dt, int(s) - prev)
                 prev = int(s)
                 blocks.append(plan.overlap @ u)
             columns.append(np.concatenate(blocks))
@@ -196,7 +198,8 @@ def main() -> None:
         u, prev, rows = y_start.values, 0, []
         for t in closed.times:
             s = round(t / closed.dt)
-            u = pk.march_diffusion_1d(u, coeffs.w.values, line.spacing[0], closed.dt, s - prev)
+            u, _ = pk.march(u, None, coeffs.w.values, None, 0.0, 0.0, line.spacing, closed.dt,
+                            s - prev)
             prev = s
             rows.append(u)
         return np.array(rows)
@@ -259,7 +262,7 @@ def main() -> None:
         (f"histogram binning ({n:,} points, 50x50)", lambda: sk.bin_counts(pos, lo, hi, (50, 50))),
         (
             f"FV diffusion march 1D ({nc} cells x {args.steps} steps)",
-            lambda: pk.march_diffusion_1d(y1, w1, h, dt1, args.steps),
+            lambda: pk.march(y1, None, w1, None, 0.0, 0.0, (h,), dt1, args.steps),
         ),
         (pde_closed, lambda: pde.solve(y_start, coeffs, 4.0, snapshot_times=snaps)),
         (pde_marched, marched_solve),
@@ -269,7 +272,7 @@ def main() -> None:
         (nnls_only, lambda: nnls(nnls_M, nnls_b, maxiter=2000)),
         (
             f"FV diffusion march 2D ({n2}x{n2} cells x {args.steps} steps)",
-            lambda: pk.march_diffusion_2d(y2, w2, h2, h2, dt2, args.steps),
+            lambda: pk.march(y2, None, w2, None, 0.0, 0.0, (h2, h2), dt2, args.steps),
         ),
         (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
         (writer, lambda: gr.trajectory_to_csv(chain, csv_path)),

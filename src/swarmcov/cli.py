@@ -169,11 +169,16 @@ def cmd_pde(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
         raise ConfigError("solver cells must be at least 2")
     domain = field.domain if field is not None else Domain.unit_interval()
     grid = Grid(domain, (solver["cells"],) * domain.dim)
-    coeffs = pde.coefficients_from_laws(laws, grid)
-    y0 = _initial_density(_section(cfg, "pde", "initial"), grid)
     t_end = solver["t_end"]
     snaps = solver["snapshots"] or tuple(t_end * i / 16 for i in range(1, 17))
-    report = pde.solve(y0, coeffs, t_end, snapshot_times=snaps, safety=solver["safety"])
+    try:
+        coeffs = pde.coefficients_from_laws(laws, grid)
+        y0 = _initial_density(_section(cfg, "pde", "initial"), grid)
+        report = pde.solve(y0, coeffs, t_end, snapshot_times=snaps, safety=solver["safety"])
+    except ValueError as exc:
+        # raised only by checks of the coefficients, the initial density, the
+        # solve's settings and the closed form's cell limit
+        raise ConfigError(str(exc)) from exc
 
     histogram_series_to_csv(report.pairs(), os.path.join(out, "snapshots.csv"))
 

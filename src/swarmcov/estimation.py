@@ -172,6 +172,8 @@ def observe(snapshots: Sequence[SwarmState], partition: Partition) -> Observatio
 def _check_settings(grid_cells: int, basis_size: int, d: float, lam: float) -> None:
     if grid_cells < 4:
         raise ValueError("need at least 4 grid cells")
+    if grid_cells > _pk.MAX_EIGEN_CELLS:
+        raise ValueError(f"at most {_pk.MAX_EIGEN_CELLS} grid cells (the forward map is dense)")
     if basis_size < 2:
         raise ValueError("need at least 2 basis nodes")
     if not d > 0:

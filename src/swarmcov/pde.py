@@ -120,26 +120,15 @@ def _max_stable_dt(coeffs: AdrCoefficients) -> float:
     return dt
 
 
-def _zeros_like(gf: GridFunction) -> np.ndarray:
-    return np.zeros(gf.grid.shape)
-
-
-def _march_diffusion(values, w, spacing, dt, nsteps):
-    if values.ndim == 1:
-        return _pk.march_diffusion_1d(values, w, spacing[0], dt, nsteps)
-    return _pk.march_diffusion_2d(values, w, spacing[0], spacing[1], dt, nsteps)
-
-
-def _march_adr(v1, v2, w, a, H, k, spacing, dt, nsteps):
-    if v1.ndim == 1:
-        return _pk.march_adr_1d(v1, v2, w, a[0], H, k, spacing[0], dt, nsteps)
-    return _pk.march_adr_2d(
-        v1, v2, w, a[0], a[1], H, k, spacing[0], spacing[1], dt, nsteps
-    )
+def _terms(coeffs: AdrCoefficients):
+    """The march's (w, a, H, k): a is None without drift, H is 0 without a stop rate."""
+    a = None if coeffs.a is None else tuple(c.values for c in coeffs.a)
+    H = 0.0 if coeffs.H is None else coeffs.H.values
+    return coeffs.w.values, a, H, coeffs.k
 
 
 def _diffusion_powers_1d(y0, w, h, dt, steps):
-    """S^s y0 for each s in steps, S the step march_diffusion_1d takes, from
+    """S^s y0 for each s in steps, S the pure-diffusion step of the march, from
     one eigendecomposition of its symmetric form (rows of the result).
 
     The conserved mode v0 = w^-1/2 / |w^-1/2| of the symmetric form has
@@ -168,10 +157,7 @@ def step_diffusion(y: GridFunction, w: GridFunction, dt: float) -> GridFunction:
     limit = cfl_max_dt(w)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt = {dt:g} violates the stability bound {limit:g}")
-    vals = _march_diffusion(
-        np.ascontiguousarray(y.values), np.ascontiguousarray(w.values),
-        y.grid.spacing, dt, 1,
-    )
+    vals, _ = _pk.march(y.values, None, w.values, None, 0.0, 0.0, y.grid.spacing, dt, 1)
     return GridFunction(y.grid, vals)
 
 
@@ -185,17 +171,7 @@ def step_adr(
     limit = _max_stable_dt(coeffs)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt = {dt:g} violates the stability bound {limit:g}")
-    a = (
-        tuple(np.ascontiguousarray(c.values) for c in coeffs.a)
-        if coeffs.a is not None
-        else tuple(_zeros_like(coeffs.w) for _ in range(grid.dim))
-    )
-    H = np.ascontiguousarray(coeffs.H.values) if coeffs.H is not None else _zeros_like(coeffs.w)
-    v1, v2 = _march_adr(
-        np.ascontiguousarray(y1.values), np.ascontiguousarray(y2.values),
-        np.ascontiguousarray(coeffs.w.values), a, H, coeffs.k,
-        grid.spacing, dt, 1,
-    )
+    v1, v2 = _pk.march(y1.values, y2.values, *_terms(coeffs), grid.spacing, dt, 1)
     return GridFunction(grid, v1), GridFunction(grid, v2)
 
 
@@ -229,54 +205,41 @@ def solve(
     snap_idx = snapshot_steps(tuple(snapshot_times) + (t_end,), dt, n_steps)
 
     keep_passive = coeffs.reactive or y2_init is not None
-    use_adr = keep_passive or coeffs.a is not None
-    v1 = np.ascontiguousarray(y0.values).copy()
-    v2 = (
-        np.ascontiguousarray(y2_init.values).copy()
-        if y2_init is not None
-        else np.zeros(grid.shape)
-    )
-    w = np.ascontiguousarray(coeffs.w.values)
-    if use_adr:
-        a = (
-            tuple(np.ascontiguousarray(c.values) for c in coeffs.a)
-            if coeffs.a is not None
-            else tuple(np.zeros(grid.shape) for _ in range(grid.dim))
-        )
-        H = (
-            np.ascontiguousarray(coeffs.H.values)
-            if coeffs.H is not None
-            else np.zeros(grid.shape)
-        )
+    v1 = np.ascontiguousarray(y0.values)
+    v2 = None
+    if keep_passive:
+        v2 = np.ascontiguousarray(y2_init.values) if y2_init is not None else np.zeros(grid.shape)
 
     cellvol = grid.cell_volume
-    mass0 = float((v1.sum() + v2.sum()) * cellvol)
+
+    def mass(u1: np.ndarray, u2: Optional[np.ndarray]) -> float:
+        return float((u1.sum() if u2 is None else u1.sum() + u2.sum()) * cellvol)
+
+    mass0 = mass(v1, v2)
     drift = 0.0
 
     times: list[float] = []
     active: list[GridFunction] = []
     passive: list[GridFunction] = []
 
-    def record(step: int, u1: np.ndarray, u2: np.ndarray):
+    def record(step: int, u1: np.ndarray, u2: Optional[np.ndarray]):
         nonlocal drift
         times.append(step * dt)
         active.append(GridFunction(grid, u1.copy()))
-        passive.append(GridFunction(grid, u2.copy()))
-        mass = float((u1.sum() + u2.sum()) * cellvol)
-        drift = max(drift, abs(mass - mass0) / abs(mass0)) if mass0 != 0 else drift
+        if u2 is not None:
+            passive.append(GridFunction(grid, u2.copy()))
+        drift = max(drift, abs(mass(u1, u2) - mass0) / abs(mass0)) if mass0 != 0 else drift
 
-    if grid.dim == 1 and not use_adr:
+    w, a, H, k = _terms(coeffs)
+    if grid.dim == 1 and a is None and v2 is None:
         for step, u1 in zip(snap_idx, _diffusion_powers_1d(v1, w, grid.spacing[0], dt, snap_idx)):
-            record(step, u1, v2)
+            record(step, u1, None)
     else:
         prev = 0
         for target in snap_idx:
             seg = target - prev
             if seg > 0:
-                if use_adr:
-                    v1, v2 = _march_adr(v1, v2, w, a, H, coeffs.k, grid.spacing, dt, seg)
-                else:
-                    v1 = _march_diffusion(v1, w, grid.spacing, dt, seg)
+                v1, v2 = _pk.march(v1, v2, w, a, H, k, grid.spacing, dt, seg)
             prev = target
             record(target, v1, v2)
 

@@ -329,6 +329,40 @@ def test_cli_exit_two_on_non_finite_value(tmp_path, capsys, subcommand, old, new
     assert not (tmp_path / "out").exists()
 
 
+def _unreachable_eigh(monkeypatch):
+    import scipy.linalg
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the cell count must be rejected before the eigenvectors are allocated")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", unreachable)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("t_end = 0.05", "t_end = 0", id="t_end-zero"),
+        pytest.param("t_end = 0.05", "t_end = 0.05\nsafety = 1.5", id="safety-1.5"),
+        pytest.param("0.04, 0.05", "0.04, 0.06", id="snapshot-after-t_end"),
+        # the density underflows to zero mass, which cannot be normalized
+        pytest.param("kind = cosine\namplitude = 0.5", "kind = gaussian\nsigma = 1e-300",
+                     id="gaussian-zero-mass"),
+        pytest.param("cells = 50", "cells = 4097", id="closed-form-cells-4097"),
+        # w = d0^2 underflows to zero, which is no diffusion weight
+        pytest.param("d0 = 1.0", "d0 = 1e-200", id="d0-squared-underflows"),
+    ],
+)
+def test_cli_exit_two_on_bad_pde_settings(tmp_path, capsys, monkeypatch, old, new):
+    _unreachable_eigh(monkeypatch)
+    assert old in MINIMAL_PDE
+    out = tmp_path / "out"
+    path = _write(tmp_path, MINIMAL_PDE.replace(old, new), out=str(out))
+    assert main(["pde", "--config", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("swarmcov: config error: ")
+    assert not any(out.iterdir())
+
+
 ONE_VERTEX = [("n = 3", "n = 1"), ("1.0, 2.0, 1.5", "1.0")]
 
 
@@ -515,6 +549,10 @@ def _run_estimate(tmp_path, text, edits=()):
                      id="protocol-window-above-domain"),
         pytest.param(OBS_CONFIG, [(t, lo + 0.5, hi + 0.5, m) for t, lo, hi, m in OBS_ROWS],
                      None, (), id="cells-outside-domain"),
+        # the forward map's eigenvectors are dense: 8 cells^2 bytes
+        pytest.param(OBS_CONFIG, OBS_ROWS, None, [("cells = 50", "cells = 4097")], id="cells-4097"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("cells = 20", "cells = 4097")],
+                     id="protocol-cells-4097"),
     ],
 )
 def test_cli_exit_two_on_bad_estimate_input(tmp_path, capsys, monkeypatch, config, rows, header,
@@ -523,6 +561,7 @@ def test_cli_exit_two_on_bad_estimate_input(tmp_path, capsys, monkeypatch, confi
         raise AssertionError("the input must be rejected before the swarm runs")
 
     monkeypatch.setattr(est, "simulate", unreachable)
+    _unreachable_eigh(monkeypatch)
     if rows is not None:
         _observations(tmp_path, rows, header or "t,cell_lo,cell_hi,fraction")
     assert _run_estimate(tmp_path, config, edits) == 2

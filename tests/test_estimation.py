@@ -243,7 +243,7 @@ def test_spectral_forward_map_matches_per_column_marches(divisor):
     for hat in plan.basis.T:
         u, prev, blocks = hat, 0, []
         for step in plan.obs_steps:
-            u = pk.march_diffusion_1d(u, w, plan.h, plan.dt, int(step) - prev)
+            u, _ = pk.march(u, None, w, None, 0.0, 0.0, (plan.h,), plan.dt, int(step) - prev)
             prev = int(step)
             blocks.append(plan.overlap @ u)
         columns.append(np.concatenate(blocks))

@@ -118,21 +118,24 @@ def test_step_adr_reaction_pair_arithmetic():
 
 
 def test_step_adr_total_mass_conserved_random():
+    # every combination of drift and reaction, in 1D and 2D
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        n = int(rng.integers(4, 30))
-        grid = Grid(UNIT, (n,))
-        y1 = _gf(grid, rng.random(n))
-        y2 = _gf(grid, rng.random(n))
-        w = _gf(grid, rng.random(n) + 0.1)
-        a = (_gf(grid, rng.standard_normal(n)),)
-        H = _gf(grid, rng.random(n))
-        coeffs = AdrCoefficients(w=w, a=a, H=H, k=0.5)
-        dt = 0.45 * cfl_max_dt(w, a)
-        o1, o2 = step_adr(y1, y2, coeffs, dt)
-        before = _mass(y1) + _mass(y2)
-        after = _mass(o1) + _mass(o2)
-        assert abs(after - before) <= 1e-13 * max(before, 1.0)
+    for domain in (UNIT, SQUARE):
+        for with_drift, with_reaction in ((True, True), (True, False), (False, True)):
+            for _ in range(25):
+                shape = tuple(int(n) for n in rng.integers(4, 30, size=domain.dim))
+                grid = Grid(domain, shape)
+                y1 = _gf(grid, rng.random(shape))
+                y2 = _gf(grid, rng.random(shape))
+                w = _gf(grid, rng.random(shape) + 0.1)
+                a = tuple(_gf(grid, rng.standard_normal(shape)) for _ in shape) if with_drift else None
+                H = _gf(grid, rng.random(shape)) if with_reaction else None
+                coeffs = AdrCoefficients(w=w, a=a, H=H, k=0.5 if with_reaction else 0.0)
+                dt = 0.45 * cfl_max_dt(w, a)
+                o1, o2 = step_adr(y1, y2, coeffs, dt)
+                before = _mass(y1) + _mass(y2)
+                after = _mass(o1) + _mass(o2)
+                assert abs(after - before) <= 1e-13 * max(before, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +200,14 @@ def test_transpose_ordering_invariance():
     w = rng.random((12, 9)) + 0.3
     rep = solve(GridFunction(grid, y), AdrCoefficients(GridFunction(grid, w), None, None, 0.0), 0.002)
     repT = solve(GridFunction(gridT, y.T), AdrCoefficients(GridFunction(gridT, w.T), None, None, 0.0), 0.002)
+    assert np.array_equal(rep.active[-1].values, repT.active[-1].values.T)
+    # with drift, the transposed solve takes the drift components swapped
+    ax, ay = rng.standard_normal((12, 9)), rng.standard_normal((12, 9))
+    drift = (GridFunction(grid, ax), GridFunction(grid, ay))
+    driftT = (GridFunction(gridT, ay.T), GridFunction(gridT, ax.T))
+    rep = solve(GridFunction(grid, y), AdrCoefficients(GridFunction(grid, w), drift), 0.002)
+    repT = solve(GridFunction(gridT, y.T), AdrCoefficients(GridFunction(gridT, w.T), driftT), 0.002)
+    assert rep.n_steps > 1
     assert np.array_equal(rep.active[-1].values, repT.active[-1].values.T)
 
 
@@ -321,7 +332,7 @@ def test_long_horizon_reaches_one_over_w(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 1D diffusion kernel
+# the march kernel
 
 
 def test_march_1d_keeps_its_input_and_composes_bitwise():
@@ -334,7 +345,8 @@ def test_march_1d_keeps_its_input_and_composes_bitwise():
     h = 1.0 / 20
     dt = 0.9 * h * h / (2.0 * w.max())
     y0 = y.copy()
-    whole = pk.march_diffusion_1d(y, w, h, dt, 40)
-    split = pk.march_diffusion_1d(pk.march_diffusion_1d(y, w, h, dt, 15), w, h, dt, 25)
+    whole, _ = pk.march(y, None, w, None, 0.0, 0.0, (h,), dt, 40)
+    part, _ = pk.march(y, None, w, None, 0.0, 0.0, (h,), dt, 15)
+    split, _ = pk.march(part, None, w, None, 0.0, 0.0, (h,), dt, 25)
     assert np.array_equal(whole, split)
     assert np.array_equal(y, y0)

@@ -1,6 +1,6 @@
 """Property tests for the agent-step kernels, the two-bump field, the
 swarm's memory layout, the interpolation kernels, the closed-form diffusion
-solve and the inverse solve."""
+solve, the finite-volume march and the inverse solve."""
 
 import numpy as np
 import pytest
@@ -264,7 +264,7 @@ def test_closed_form_diffusion_matches_the_march(case):
     u, prev = y0.values, 0
     for t, got in zip(rep.times, rep.active):
         step = round(t / rep.dt)
-        u = pk.march_diffusion_1d(u, w.values, h, rep.dt, step - prev)
+        u, _ = pk.march(u, None, w.values, None, 0.0, 0.0, (h,), rep.dt, step - prev)
         prev = step
         assert np.abs(got.values - u).max() <= 1e-10 * np.abs(u).max()
     assert prev == rep.n_steps
@@ -273,6 +273,48 @@ def test_closed_form_diffusion_matches_the_march(case):
     still = GridFunction(y0.grid, 1.0 / w.values)
     for got in solve(still, AdrCoefficients(w), t_end, snapshot_times=snaps).active:
         assert np.abs(got.values - still.values).max() <= 1e-12 * still.values.max()
+
+
+@st.composite
+def marches_1d(draw):
+    """(y1, y2, w, a, H, k, h, dt, nsteps) on 2-30 cells: y1, y2 >= 0 and
+    w > 0, drift a and the exchange (y2, H, k) each present or None, at most
+    40 steps at the 1D stability bound."""
+    n = draw(st.integers(2, 30))
+    h = 1.0 / n
+    cells = hnp.arrays(float, n, elements=st.floats(0.0, 1e3, allow_subnormal=False))
+    y1 = draw(cells)
+    w = draw(hnp.arrays(float, n, elements=st.floats(0.01, 10.0)))
+    a = y2 = None
+    H, k = 0.0, 0.0
+    rate = 2.0 * w.max() / h**2
+    if draw(st.booleans()):
+        a = draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)))
+        rate += np.abs(a).max() / h
+    if draw(st.booleans()):
+        y2 = draw(cells)
+        H = draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0)))
+        k = draw(st.floats(0.0, 10.0))
+        rate += H.max()
+    return y1, y2, w, a, H, k, h, 1.0 / max(rate, k), draw(st.integers(1, 40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(marches_1d(), st.integers(1, 6), st.floats(1e-3, 1.0))
+def test_march_of_data_constant_along_y_is_the_1d_march_per_row(case, ny, hy):
+    # no flux crosses a y face, so the 2D march at each y cell is the 1D march
+    y1, y2, w, a, H, k, h, dt, nsteps = case
+    want1, want2 = pk.march(y1, y2, w, None if a is None else (a,), H, k, (h,), dt, nsteps)
+
+    def rows(v):
+        return v if v is None or np.isscalar(v) else np.repeat(v[:, None], ny, axis=1)
+
+    drift = None if a is None else (rows(a), np.zeros((a.shape[0], ny)))
+    got1, got2 = pk.march(rows(y1), rows(y2), rows(w), drift, rows(H), k, (h, hy), dt, nsteps)
+    for j in range(ny):
+        assert np.array_equal(got1[:, j], want1)
+        if y2 is not None:
+            assert np.array_equal(got2[:, j], want2)
 
 
 @st.composite
