@@ -22,9 +22,13 @@ The 1D pure-diffusion rows solve at the solvers benchmark's pde_longrun size
 snapshots): in closed form, as pde.solve does, and marched from snapshot to
 snapshot, which the closed form must match to 1e-10 relative.
 The graph rows sample a jump chain at the size the solvers benchmark's random
-graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps), write it as CSV,
-and propagate the master equation to 5 times, which must match
-scipy.linalg.expm of the generator to 1e-10 relative.
+graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps) with sample_ctmc,
+which walks the chain from a choice table, and with the per-jump walk it
+replaced, kept here as the reference; the two must return the same times and
+vertices, bit for bit.  They also write the chain as CSV, propagate the master
+equation to 5 times, which must match scipy.linalg.expm of the generator to
+1e-10 relative, and build the choice table of a graph whose degrees are
+1..299, the set-up cost of a wide degree range, whose size they print.
 The CSV rows write the 3e5-jump trajectory and three 2D snapshots of 1e5
 agents, the coverage runs' swarm size, with write_csv, which formats the
 cells in numpy, and with the chunked % writer it replaced, kept here as the
@@ -83,6 +87,51 @@ def percent_write_csv(path, header, row_format, *columns):
             for j, col in enumerate(columns):
                 cells[j::width] = col[lo:hi].tolist()
             fh.write(((row_format + "\n") * (hi - lo)) % tuple(cells))
+
+
+def per_jump_sample_ctmc(g, f, c, start, t_end, seed, exponent=1, max_jumps=None):
+    """The sampler sample_ctmc replaced: the neighbor index int(u * deg) per jump."""
+    if g.n_vertices == 1:
+        return gr.Trajectory(np.array([0.0]), np.array([start], dtype=np.int64))
+    nbrs = [a.tolist() for a in g.neighbor_lists()]
+    degs = [len(a) for a in nbrs]
+    rates = c * np.asarray(f, dtype=float) ** float(exponent) * g.degrees.astype(float)
+    rng = np.random.default_rng(seed)
+    times = [np.array([0.0])]
+    verts = [np.array([start], dtype=np.int64)]
+    v, t = start, 0.0
+    remaining = np.inf if max_jumps is None else int(max_jumps)
+    while remaining > 0:
+        u_hold = rng.random(gr._BATCH)
+        u_choice = rng.random(gr._BATCH)
+        cap = gr._BATCH if remaining > gr._BATCH else int(remaining)
+        path = np.empty(cap + 1, dtype=np.int64)
+        path[0] = v
+        for lo in range(0, cap, gr._CHAIN_SLICE):
+            hi = min(lo + gr._CHAIN_SLICE, cap)
+            walk = []
+            step = walk.append
+            for u in u_choice[lo:hi].tolist():
+                deg = degs[v]
+                j = int(u * deg)
+                if j >= deg:
+                    j = deg - 1
+                v = nbrs[v][j]
+                step(v)
+            path[lo + 1 : hi + 1] = walk
+        jump_t = np.empty(cap + 1)
+        jump_t[0] = t
+        jump_t[1:] = -np.log(u_hold[:cap]) / rates[path[:cap]]
+        np.cumsum(jump_t, out=jump_t)
+        past = np.flatnonzero(jump_t[1:] > t_end)
+        count = int(past[0]) if past.size else cap
+        times.append(jump_t[1 : count + 1])
+        verts.append(path[1 : count + 1])
+        if past.size:
+            break
+        t = jump_t[cap]
+        remaining -= cap
+    return gr.Trajectory(np.concatenate(times), np.concatenate(verts))
 
 
 def interp2_reference(xq, yq, lox, hx, loy, hy, values):
@@ -210,6 +259,11 @@ def main() -> None:
     gf = rng.uniform(0.5, 2.0, 50)
     jumps = 300_000
     chain = gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)
+    # vertices 1..300, i ~ j when i + j > 300: the degrees are 1..299
+    wide = gr.Graph(300, tuple((i - 1, j - 1) for i in range(1, 301) for j in range(i + 1, 301)
+                               if i + j > 300))
+    wide_degrees = np.unique(wide.degrees).tolist()
+    assert wide_degrees == list(range(1, 300))
     p_start = rng.random(50)
     p_start /= p_start.sum()
     prop_times = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -243,6 +297,8 @@ def main() -> None:
     pde_closed = f"1D pure-diffusion solve, closed form ({closed.n_steps:,} steps)"
     pde_marched = "1D pure-diffusion solve, marched (50 cells)"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
+    sampler_ref = "sample_ctmc, per-jump walk (reference)"
+    table = "choice table, degrees 1..299"
     writer = f"trajectory_to_csv ({jumps:,} jumps)"
     writer_ref = "trajectory, chunked % writer (reference)"
     snap_writer = "snapshots_to_csv (100,000 agents, 2D, 3 snapshots)"
@@ -275,6 +331,8 @@ def main() -> None:
             lambda: pk.march(y2, None, w2, None, 0.0, 0.0, (h2, h2), dt2, args.steps),
         ),
         (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
+        (sampler_ref, lambda: per_jump_sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
+        (table, lambda: gr._choice_table(wide_degrees)),
         (writer, lambda: gr.trajectory_to_csv(chain, csv_path)),
         (writer_ref, lambda: percent_write_csv(csv_path + ".ref", *csv_refs[csv_path])),
         (snap_writer, lambda: snapshots_to_csv(swarm, snap_path)),
@@ -326,8 +384,18 @@ def main() -> None:
     if rel > 1e-10:
         raise SystemExit(f"propagate differs from expm by {rel:.1e} relative")
     print(f"propagate: {rel:.1e} largest relative difference from expm")
+    reference = per_jump_sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)
+    for name in ("times", "vertices"):
+        if getattr(chain, name).tobytes() != getattr(reference, name).tobytes():
+            raise SystemExit(f"sample_ctmc {name} differ from the per-jump walk's")
     print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
-          f"{times[writer] / jumps * 1e6:.3f} us per row written")
+          f"{times[sampler_ref] / times[sampler]:.1f}x faster than the per-jump walk, "
+          f"bits identical; {times[writer] / jumps * 1e6:.3f} us per row written")
+    cuts, rows = gr._choice_table(wide_degrees)
+    entries = sum(len(row) for row in rows.values())
+    size = cuts.nbytes + sum(len(row) * row.itemsize for row in rows.values())
+    print(f"{table}: {len(cuts):,} cut points, {entries:,} entries, {size / 1e6:.1f} MB "
+          f"({rows[299].typecode!r} rows), built in {times[table] * 1e3:.0f} ms")
     for path, label, ref in ((csv_path, writer, writer_ref), (snap_path, snap_writer, snap_ref)):
         with open(path, "rb") as got, open(path + ".ref", "rb") as want:
             if got.read() != want.read():

@@ -14,9 +14,18 @@ exponent moves by one and the product is taken again) and rounding the
 fraction gives the 17 significant digits.  r is off by less than 1e-14, so
 only a fraction within 1e-9 of 1/2 could round the wrong way: those cells,
 the non-finite ones and those outside the range are printed by ``%``, as are
-tables with a ``%s`` field.  Digits come four at a time from a lookup table;
-each cell has a fixed-width slot in a (rows x width) byte matrix that holds
-every character its text may need, and a keep mask drops the unused ones.
+tables with a ``%s`` field.  Digits come four at a time from a lookup table.
+
+Each cell has a slot of fixed columns for every character its text may need:
+"-0.000", the 17 digits with a "." after each but the last, "e-XX" and the
+separator for a float (44 bytes); "-", 20 digits and the separator for an int
+(22).  A chunk's column keeps only the slot columns that some cell of the
+chunk prints: the sign only if a cell is negative, the "0.000" lead only for
+exponents -4..-1, the digits and dots its cells reach, "e-XX" only for
+exponents below -4, and as many int digits as its widest cell.  A chunk with
+a cell left to ``%`` keeps the whole slot.  The kept columns of every field
+make one (rows x width) byte matrix, a keep mask drops the characters each
+cell does not print, and one boolean index joins the chunk.
 """
 
 from __future__ import annotations
@@ -109,8 +118,13 @@ def _scaled(a, X):
     return p.astype(np.int64) + r_whole.astype(np.int64), r - r_whole
 
 
-def _float_cells(x, M, K, o):
-    """Write the float column x into the slots at column o of M and K."""
+def _float_cells(x, sep):
+    """The layout of the float column x in its chunk, and a writer of its cells.
+
+    Returns (text, put): the slot columns the chunk keeps, as the bytes they
+    start with, and put(M, K), which writes each cell into M and its keep
+    mask into K, both (rows x len(text)) views.
+    """
     a = np.abs(x)
     fast = (a >= 1e-10) & (a < 1e16)
     zero = a == 0
@@ -131,49 +145,83 @@ def _float_cells(x, M, K, o):
     rest = _digits16(low)
     # z: the last nonzero digit, d0 for 0 and for N = d0 * 10**16
     z = np.where(low == 0, 0, 16 - np.argmax((rest != 48)[:, ::-1], axis=1))
-    M[:, o + 6] = 48 + d0
-    M[:, o + 8:o + 39:2] = rest
-    M[:, o + 41:o + 43] = _EXPONENTS.take(X + 11, mode="clip")[:, None].view(np.uint8)
-    K[:, o:o + 44] = _FLOAT_KEEP.take((X + 11) * 17 + z, axis=0, mode="clip")
-    K[:, o] = np.signbit(x)
-    unsettled = (~fast & ~zero) | (F < _E16) | (F >= _E17) | (np.abs(frac - 0.5) < _TIE)
-    for i in np.flatnonzero(unsettled):
-        text = np.frombuffer((_G % x[i]).encode(), np.uint8)
-        M[i, o:o + len(text)] = text
-        K[i, o:o + 43] = False
-        K[i, o:o + len(text)] = True
+    row = np.clip((X + 11) * 17 + z, 0, len(_FLOAT_KEEP) - 1)
+    neg = np.signbit(x)
+    unsettled = np.flatnonzero(
+        (~fast & ~zero) | (F < _E16) | (F >= _E17) | (np.abs(frac - 0.5) < _TIE))
+    if unsettled.size:
+        keep = np.ones(44, bool)  # % may print any of the slot's characters
+    else:
+        keep = _FLOAT_KEEP[np.bincount(row, minlength=len(_FLOAT_KEEP)) > 0].any(axis=0)
+        keep[0] = neg.any()
+    cols = np.flatnonzero(keep)
+    at = np.cumsum(keep) - 1  # slot column -> layout column
+    n_digits = np.count_nonzero(keep[8:39:2])
+
+    def put(M, K):
+        M[:, at[6]] = 48 + d0
+        M[:, at[8:8 + 2 * n_digits:2]] = rest[:, :n_digits]
+        K[:] = _FLOAT_KEEP[:, cols].take(row, axis=0)
+        if keep[0]:
+            K[:, 0] = neg
+        if keep[41]:
+            M[:, at[41:43]] = _EXPONENTS.take(X + 11, mode="clip")[:, None].view(np.uint8)
+        for i in unsettled:
+            text = np.frombuffer((_G % x[i]).encode(), np.uint8)
+            M[i, :len(text)] = text
+            K[i, :43] = False
+            K[i, :len(text)] = True
+
+    return _slot(_G, sep)[cols], put
 
 
-def _int_cells(v, M, K, o):
-    """Write the integer column v into the slots at column o of M and K."""
+def _int_cells(v, sep):
+    """The layout of the integer column v in its chunk, and a writer of its cells.
+
+    As _float_cells: the layout keeps the sign only if a cell is negative and
+    as many digits as the widest cell has.
+    """
     neg = v < 0
     mag = v.astype(np.uint64)  # modulo 2**64, so 0 - mag is |v| for v < 0
     mag = np.where(neg, 0 - mag, mag)
-    top = mag // _E16
-    M[:, o + 1:o + 5] = _DIGITS4.take(top)[:, None].view(np.uint8)
-    M[:, o + 5:o + 21] = _digits16((mag - top * _E16).astype(np.int64))
-    K[:, o:o + 22] = _INT_KEEP.take(1 + np.searchsorted(_POW10, mag, side="right"), axis=0)
-    K[:, o] = neg
+    count = 1 + np.searchsorted(_POW10, mag, side="right")
+    width = int(count.max())
+    keep = _INT_KEEP[width].copy()
+    keep[0] = neg.any()
+    cols = np.flatnonzero(keep)
+    groups = -(-width // 4)
+    # the last 4 * groups digits, four at a time
+    quads = np.stack([mag // 10 ** (4 * k) % 10**4 for k in range(groups - 1, -1, -1)], axis=1)
+
+    def put(M, K):
+        M[:, int(keep[0]):-1] = _DIGITS4.take(quads).view(np.uint8)[:, 4 * groups - width:]
+        K[:] = _INT_KEEP[:, cols].take(count, axis=0)
+        if keep[0]:
+            K[:, 0] = neg
+
+    return _slot(_D, sep)[cols], put
 
 
 def _slot(field, sep):
-    return (b"-0.000" + b"0." * 16 + b"0e-00" if field == _G else b"-" + b"0" * 20) + sep
+    """Every character a cell of field may print, at fixed columns, as uint8."""
+    text = b"-0.000" + b"0." * 16 + b"0e-00" if field == _G else b"-" + b"0" * 20
+    return np.frombuffer(text + sep, np.uint8)
 
 
 def _numpy_rows(fields, chunk):
     """The bytes of the rows of chunk, one column per field."""
-    slots = [_slot(f, b",") for f in fields[:-1]] + [_slot(fields[-1], b"\n")]
-    M = np.empty((len(chunk[0]), sum(map(len, slots))), np.uint8)
-    M[:] = np.frombuffer(b"".join(slots), np.uint8)
+    seps = [b","] * (len(fields) - 1) + [b"\n"]
+    cells = [_float_cells(col.astype(np.float64), sep) if field == _G else _int_cells(col, sep)
+             for field, col, sep in zip(fields, chunk, seps)]
+    text = np.concatenate([t for t, _ in cells])
+    M = np.empty((len(chunk[0]), len(text)), np.uint8)
+    M[:] = text
     K = np.empty(M.shape, bool)
     o = 0
-    for field, col, slot in zip(fields, chunk, slots):
-        if field == _G:
-            _float_cells(col.astype(np.float64), M, K, o)
-        else:
-            _int_cells(col, M, K, o)
-        o += len(slot)
-    return np.compress(K.ravel(), M.ravel())
+    for t, put in cells:
+        put(M[:, o:o + len(t)], K[:, o:o + len(t)])
+        o += len(t)
+    return M.ravel()[K.ravel()]
 
 
 def _percent_rows(row_format, chunk):

@@ -11,6 +11,7 @@ distribution is proportional to 1/f; with e = -1 it is proportional to f
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -179,6 +180,34 @@ def propagate(
     return out[0] if np.ndim(t) == 0 else out
 
 
+def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
+    """Cut points and choice rows for the uniform neighbor choice at these degrees.
+
+    A uniform u picks neighbor min(int(u * d), d - 1) of a degree-d vertex, a
+    step function of u.  It steps at the smallest double u with
+    int(u * d) >= i, for i = 1..d-1, which i / d can miss by an ulp (5 / 6 is
+    one above it): each cut starts at i / d and moves by ulps until it is that
+    double.  ``cuts`` holds the cuts of every degree, sorted and distinct, so
+    a uniform's bin b = searchsorted(cuts, u, side="right") fixes its choice
+    at every degree: ``rows[d][b]``, one compact array per degree.
+    """
+    d = np.concatenate([np.full(k - 1, k, dtype=np.int64) for k in degrees])
+    i = np.concatenate([np.arange(1, k) for k in degrees])
+    u = i / d
+    while (low := u * d < i).any():
+        u[low] = np.nextafter(u[low], 1.0)
+    while (high := np.nextafter(u, 0.0) * d >= i).any():
+        u[high] = np.nextafter(u[high], 0.0)
+    cuts = np.unique(u)
+    dtype = np.min_scalar_type(max(degrees) - 1)
+    rows = {}
+    for k in degrees:
+        row = np.zeros(len(cuts) + 1, dtype=dtype)
+        row[1:] = np.searchsorted(u[d == k], cuts, side="right")
+        rows[k] = array(dtype.char, row.tobytes())
+    return cuts, rows
+
+
 def sample_ctmc(
     g: Graph,
     f,
@@ -193,9 +222,12 @@ def sample_ctmc(
 
     Stops at the first jump past t_end or after max_jumps jumps, whichever
     comes first.  Uniforms are drawn _BATCH holding times and _BATCH choices
-    at a time.  Only the vertex chain is a Python loop; the holding times
-    and their running sum (sequential, so each jump time is the rounded
-    t + hold of a per-jump loop) are whole-batch numpy expressions.
+    at a time.  Each choice uniform is binned among the cut points of the
+    choice table in one numpy call, so the vertex chain, the only Python
+    loop, takes two list lookups per jump: the bin's choice in the row of
+    the vertex's degree, then that neighbor.  The holding times and their
+    running sum (sequential, so each jump time is the rounded t + hold of a
+    per-jump loop) are whole-batch numpy expressions.
     """
     f = _check_field(g, f)
     e = _check_exponent(exponent)
@@ -209,8 +241,10 @@ def sample_ctmc(
         return Trajectory(np.array([0.0]), np.array([start], dtype=np.int64))
 
     nbrs = [a.tolist() for a in g.neighbor_lists()]
-    degs = [len(a) for a in nbrs]
-    rates = c * f**float(e) * g.degrees.astype(float)
+    degrees = g.degrees
+    cuts, rows = _choice_table(np.unique(degrees).tolist())
+    pick = [rows[d] for d in degrees.tolist()]
+    rates = c * f**float(e) * degrees.astype(float)
     rng = np.random.default_rng(seed)
 
     times = [np.array([0.0])]
@@ -227,16 +261,8 @@ def sample_ctmc(
         path[0] = v
         for lo in range(0, cap, _CHAIN_SLICE):
             hi = min(lo + _CHAIN_SLICE, cap)
-            walk = []
-            step = walk.append
-            for u in u_choice[lo:hi].tolist():
-                deg = degs[v]
-                j = int(u * deg)
-                if j >= deg:
-                    j = deg - 1
-                v = nbrs[v][j]
-                step(v)
-            path[lo + 1 : hi + 1] = walk
+            bins = np.searchsorted(cuts, u_choice[lo:hi], side="right").tolist()
+            path[lo + 1 : hi + 1] = [v := nbrs[v][pick[v][b]] for b in bins]
         jump_t = np.empty(cap + 1)
         jump_t[0] = t
         jump_t[1:] = -np.log(u_hold[:cap]) / rates[path[:cap]]

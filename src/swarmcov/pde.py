@@ -50,6 +50,8 @@ class AdrCoefficients:
 
     def __post_init__(self):
         shape = self.w.grid.shape
+        if not np.isfinite(self.w.values).all():
+            raise ValueError("diffusion weight w must be finite")
         if (self.w.values <= 0).any():
             raise ValueError("diffusion weight w must be strictly positive")
         if self.a is not None:
@@ -58,11 +60,17 @@ class AdrCoefficients:
             for comp in self.a:
                 if comp.grid.shape != shape:
                     raise ValueError("drift components must share the w grid")
+                if not np.isfinite(comp.values).all():
+                    raise ValueError("drift must be finite")
         if self.H is not None:
             if self.H.grid.shape != shape:
                 raise ValueError("H must share the w grid")
+            if not np.isfinite(self.H.values).all():
+                raise ValueError("stop rate H must be finite")
             if (self.H.values < 0).any():
                 raise ValueError("stop rate H must be nonnegative")
+        if not np.isfinite(self.k):
+            raise ValueError("reactivation rate k must be finite")
         if self.k < 0:
             raise ValueError("reactivation rate k must be nonnegative")
 
@@ -111,7 +119,10 @@ def cfl_max_dt(w: GridFunction, a: Optional[Sequence[GridFunction]] = None) -> f
 
 def _max_stable_dt(coeffs: AdrCoefficients) -> float:
     """Combined diffusion/advection/reaction positivity bound."""
-    rate = 1.0 / cfl_max_dt(coeffs.w, coeffs.a)
+    limit = cfl_max_dt(coeffs.w, coeffs.a)
+    if limit == 0:
+        raise ValueError("diffusion weight or drift too large: the stable time step is 0")
+    rate = 1.0 / limit
     if coeffs.H is not None:
         rate += float(coeffs.H.values.max())
     dt = 1.0 / rate

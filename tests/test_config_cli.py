@@ -350,6 +350,10 @@ def _unreachable_eigh(monkeypatch):
         pytest.param("cells = 50", "cells = 4097", id="closed-form-cells-4097"),
         # w = d0^2 underflows to zero, which is no diffusion weight
         pytest.param("d0 = 1.0", "d0 = 1e-200", id="d0-squared-underflows"),
+        # w = d0^2 overflows to inf, and the stable step to 0
+        pytest.param("d0 = 1.0", "d0 = 1e200", id="d0-squared-overflows"),
+        # w is finite, but the stable step's rate 2 * w / h^2 overflows
+        pytest.param("d0 = 1.0", "d0 = 1e154", id="stable-step-underflows"),
     ],
 )
 def test_cli_exit_two_on_bad_pde_settings(tmp_path, capsys, monkeypatch, old, new):

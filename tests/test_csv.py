@@ -129,6 +129,39 @@ def test_write_csv_edge_cases_match_per_row_writer(tmp_path):
     _write_and_compare(path, "gdgd", floats, ints, floats[::-1], small)
 
 
+def test_write_csv_chunks_take_their_own_layouts(tmp_path):
+    # five chunks whose cells need different slot columns: positive fixed
+    # notation first, then a sign, e-notation, % cells and fixed again; the
+    # int column widens from 2 digits to 20 (int64 min)
+    n = _csv._CHUNK_ROWS
+    rng = np.random.default_rng(13)
+    times = np.cumsum(rng.exponential(1.0, 5 * n))
+    times[:n] = np.linspace(1.5, 99.0, n)
+    times[n + 17] = -3.25
+    times[2 * n + 5] = 1e-07
+    times[2 * n + 6] = 0.00123
+    times[3 * n + 1 : 3 * n + 4] = [np.nan, 1e17, 123456789012345.125]
+    ints = np.resize(np.arange(50, dtype=np.int64), 5 * n)
+    ints[n + 3] = 12345
+    ints[2 * n + 9] = -7
+    ints[3 * n + 2] = 10**12
+    ints[4 * n + 1] = np.iinfo(np.int64).min
+    _write_and_compare(tmp_path / "chunks.csv", "gdg", times, ints, -times[::-1])
+
+    def layout(cells, column, k):
+        text, _ = cells(column[k * n:(k + 1) * n], b",")
+        return bytes(text)
+
+    floats = [layout(_csv._float_cells, times, k) for k in range(5)]
+    widths = [len(layout(_csv._int_cells, ints, k)) for k in range(5)]
+    # only the columns some cell of the chunk prints, and the whole slot for % cells
+    assert floats[0] == b"0.0.000000000000000,"
+    assert floats[1].startswith(b"-") and b"e" not in floats[1]
+    assert floats[2].startswith(b"0.000") and floats[2].endswith(b"e-00,")
+    assert len(floats[3]) == 44
+    assert widths == [3, 6, 4, 14, 21]
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -273,20 +273,35 @@ def _assert_same_path(got, want):
     assert np.array_equal(got.vertices, want.vertices)
 
 
+def _degrees_one_to_thirty():
+    # vertices 1..31 (as 0..30), i ~ j when i + j > 31: vertex i has degree i
+    # up to 15 and i - 1 from 16, so the degrees are 1..30, and 31 meets all
+    g = Graph(31, tuple((i - 1, j - 1) for i in range(1, 32) for j in range(i + 1, 32)
+                        if i + j > 31))
+    assert set(g.degrees.tolist()) == set(range(1, 31))
+    return g
+
+
 @st.composite
 def chain_cases(draw):
     """A graph, a field, an exponent and a stop rule, sampled with small
     batches and chain slices so that t_end and the jump cap fall in the
     first batch, on a boundary, or several batches in."""
-    kind = draw(st.sampled_from(["path", "complete", "random"]))
+    kind = draw(st.sampled_from(["path", "complete", "random", "star", "degrees 1..30"]))
     n = draw(st.integers(2, 9))
     if kind == "path":
         g = path_graph(n)
     elif kind == "complete":
         g = complete_graph(n)
+    elif kind == "star":
+        g = Graph(n + 1, tuple((0, i) for i in range(1, n + 1)))
+    elif kind == "degrees 1..30":
+        g = _degrees_one_to_thirty()
     else:
-        g = random_connected_graph(n, draw(st.integers(0, n)), np.random.default_rng(draw(st.integers(0, 99))))
-    f = [draw(st.floats(0.05, 20.0)) for _ in range(n)]
+        n = draw(st.integers(2, 40))
+        g = random_connected_graph(n, draw(st.integers(0, 2 * n)),
+                                   np.random.default_rng(draw(st.integers(0, 99))))
+    f = [draw(st.floats(0.05, 20.0)) for _ in range(g.n_vertices)]
     exponent = draw(st.sampled_from([1, -1]))
     max_jumps = draw(st.one_of(st.none(), st.integers(1, 120)))
     if max_jumps is None:
@@ -356,6 +371,32 @@ def test_sample_ctmc_clamps_a_choice_of_one(monkeypatch):
     want = _reference_sample(g, f, 1.0, 0, np.inf, 5, 1, 50, batch=16)
     monkeypatch.setattr(gr, "_BATCH", 16)
     _assert_same_path(sample_ctmc(g, f, 1.0, 0, np.inf, 5, 1, 50), want)
+
+
+def _assert_choices(degrees, u):
+    """The choice table picks min(int(u * d), d - 1) for each uniform u at each degree d."""
+    cuts, rows = gr._choice_table(degrees)
+    bins = np.searchsorted(cuts, u, side="right")
+    for d in degrees:
+        want = np.minimum((u * d).astype(np.int64), d - 1)
+        assert [rows[d][b] for b in bins.tolist()] == want.tolist(), d
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(1, 300), min_size=1, max_size=12))
+def test_choice_table_steps_where_the_formula_does(degrees):
+    degrees = sorted(degrees | {6})
+    cuts, _ = gr._choice_table(degrees)
+    # every cut and the double below it, where int(u * d) first and last differ
+    edges = np.concatenate([cuts, np.nextafter(cuts, 0.0), [0.0, np.nextafter(1.0, 0.0), 1.0]])
+    _assert_choices(degrees, edges)
+
+
+def test_choice_table_cut_below_its_fraction():
+    # 5 / 6 rounds to 0.8333333333333334, but int(u * 6) is already 5 one double below
+    assert 5 / 6 == 0.8333333333333334 and int(0.8333333333333333 * 6) == 5
+    _assert_choices([6], np.array([0.8333333333333333, 5 / 6]))
+    _assert_choices(list(range(1, 31)), np.nextafter(np.arange(1, 30) / 30, 0.0))
 
 
 def test_trajectory_csv_bytes_match_per_row_writer(tmp_path):
