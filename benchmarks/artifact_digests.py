@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every artifact the CLI writes, for a byte-identity check.
 
-Runs every bundled config (src/swarmcov/configs, with --gnuplot) and three
+Runs every bundled config (src/swarmcov/configs, with --gnuplot), three
 pde configs that march rather than take the 1D closed form (2D diffusion on
-the two-bump field, 1D diffusion with drift, 1D stop/go reaction) against
-the source tree given by --src, one run at a time, each writing to its own
-directory under --out.  Prints one "sha256  run/file" line per artifact,
+the two-bump field, 1D diffusion with drift, 1D stop/go reaction) and five
+coverage configs for the agent-step branches the bundled ones leave out
+(drift on the 1D sine, 2D two-bump and 2D CSV fields, which interpolates
+the gradient; stop/go switching in 1D and 2D) against the source tree given
+by --src, one run at a time, each writing to its own directory under --out.  Prints one "sha256  run/file" line per artifact,
 sorted by file.  Run it on two source trees and diff the lists: a change that
 keeps every artifact byte for byte prints the same list.
 
@@ -77,6 +79,116 @@ t_end = 1.0
 """,
 }
 
+# "{configs}" stands for the source tree's bundled config directory
+COVERING = {
+    "cover_1d_sine_drift": """
+[field]
+kind = sine
+
+[law]
+family = diffusion
+c1 = 0.1
+c2 = 0.2
+
+[simulation]
+agents = 20000
+dt = 1e-3
+t_end = 1.0
+seed = 3
+snapshots = 0.1, 1.0
+init = uniform
+
+[output]
+bins = 50
+""",
+    "cover_2d_two_bump_drift": """
+[field]
+kind = two_bump
+dim = 2
+
+[law]
+family = diffusion
+c1 = 0.02
+c2 = 0.05
+
+[simulation]
+agents = 20000
+dt = 1e-3
+t_end = 0.3
+seed = 4
+snapshots = 0.1, 0.3
+init = uniform
+
+[output]
+bins = 20
+""",
+    "cover_2d_csv_drift": """
+[field]
+kind = csv
+path = {configs}/case2_field.csv
+dim = 2
+
+[law]
+family = diffusion
+c1 = 0.02
+c2 = 0.05
+
+[simulation]
+agents = 20000
+dt = 1e-3
+t_end = 0.3
+seed = 5
+snapshots = 0.1, 0.3
+init = gaussian:0.5,0.5,0.2
+
+[output]
+bins = 20
+""",
+    "cover_1d_reaction": """
+[field]
+kind = sine
+
+[law]
+family = reaction
+c1 = 0.1
+c2 = 1.0
+k = 1.0
+
+[simulation]
+agents = 20000
+dt = 1e-3
+t_end = 1.0
+seed = 6
+snapshots = 0.1, 1.0
+init = uniform
+
+[output]
+bins = 50
+""",
+    "cover_2d_reaction": """
+[field]
+kind = two_bump
+dim = 2
+
+[law]
+family = reaction
+c1 = 0.05
+c2 = 1.0
+k = 1.0
+
+[simulation]
+agents = 20000
+dt = 1e-3
+t_end = 0.3
+seed = 7
+snapshots = 0.1, 0.3
+init = uniform
+
+[output]
+bins = 20
+""",
+}
+
 
 def _run(src: str, subcommand: str, config: str, out: str) -> None:
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
@@ -98,11 +210,12 @@ def main() -> None:
 
     configs = os.path.join(src, "swarmcov", "configs")
     runs = [(name, sub, os.path.join(configs, name + ".cfg")) for name, sub in BUNDLED.items()]
-    for name, text in MARCHING.items():
-        path = os.path.join(out, name + ".cfg")
-        with open(path, "w") as fh:
-            fh.write(text)
-        runs.append((name, "pde", path))
+    for sub, written in (("pde", MARCHING), ("coverage", COVERING)):
+        for name, text in written.items():
+            path = os.path.join(out, name + ".cfg")
+            with open(path, "w") as fh:
+                fh.write(text.replace("{configs}", configs))
+            runs.append((name, sub, path))
 
     digests = {}
     for name, sub, config in runs:

@@ -29,6 +29,17 @@ vertices, bit for bit.  They also write the chain as CSV, propagate the master
 equation to 5 times, which must match scipy.linalg.expm of the generator to
 1e-10 relative, and build the choice table of a graph whose degrees are
 1..299, the set-up cost of a wide degree range, whose size they print.
+The simulate rows run whole sde.simulate calls at the agents benchmark's
+sizes, with zero drift as there: the two-bump and a 33x33 CSV grid field with
+1e5 agents, 20 steps and a Gaussian start, and the sine field with 1e4
+agents, 200 steps and a uniform start.  Each prints ms per step and minor
+page faults per step (getrusage's ru_minflt over the timed calls; glibc
+returns freed heap to the system once its free top exceeds a threshold, so
+a step whose temporaries pass it faults them in again), beside the same run
+with the stepping it replaced, kept here as the reference: a Generator built
+per step, a noise array and its column-major copy per step, the law's
+allocating c1/sqrt(F) + c2, and the allocating step and reflection.  The
+final positions must match the reference's bit for bit.
 The CSV rows write the 3e5-jump trajectory and three 2D snapshots of 1e5
 agents, the coverage runs' swarm size, with write_csv, which formats the
 cells in numpy, and with the chunked % writer it replaced, kept here as the
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import tempfile
 import time
 
@@ -55,9 +67,15 @@ from swarmcov import _sde_kernels as sk
 from swarmcov import estimation as est
 from swarmcov import graphs as gr
 from swarmcov import (
+    GaussianInit,
+    GridField,
+    SimConfig,
     SwarmState,
+    UniformInit,
     diffusion_coverage_law,
     pde,
+    sde,
+    simulate,
     sine_field,
     snapshots_to_csv,
     two_bump_field,
@@ -134,6 +152,43 @@ def per_jump_sample_ctmc(g, f, c, start, t_end, seed, exponent=1, max_jumps=None
     return gr.Trajectory(np.concatenate(times), np.concatenate(verts))
 
 
+def reference_step_active(pos, D, dt, noise, lo, hi):
+    """The allocating zero-drift step simulate used before it stepped into a
+    buffer."""
+    term = (D * np.sqrt(2.0 * dt))[:, None] * noise
+    term += pos
+    return reference_reflect(term, lo, hi)
+
+
+def reference_reflect(x, lo, hi):
+    r = np.asarray(x, dtype=float) - lo
+    span = hi - lo
+    for j in range(r.shape[1]):
+        c = r[:, j]
+        s = span[j]
+        out = (c < 0.0) | (c > s)
+        if out.any():
+            m = np.mod(c[out], 2.0 * s)
+            c[out] = np.where(m > s, 2.0 * s - m, m)
+    r += lo
+    return r
+
+
+def reference_simulate(config, field, c1, domain):
+    """simulate's zero-drift loop as it was: a Generator per step, a noise
+    array and its column-major copy per step, the allocating law and step;
+    returns the final positions."""
+    positions = np.asfortranarray(sde._initial_positions(config, domain))
+    n, d = positions.shape
+    for step in range(1, round(config.t_end / config.dt) + 1):
+        key = np.array([np.uint64(config.seed), np.uint64(step)], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        noise = np.asfortranarray(rng.standard_normal((n, d)))
+        D = c1 / np.sqrt(field.eval(positions)) + 0.0  # the law's "+ c2" at c2 = 0
+        positions = reference_step_active(positions, D, config.dt, noise, domain.lo, domain.hi)
+    return positions
+
+
 def interp2_reference(xq, yq, lox, hx, loy, hy, values):
     """The per-corner bilinear formula interp2 replaced: four 2D gathers."""
     nx, ny = values.shape
@@ -151,6 +206,47 @@ def interp2_reference(xq, yq, lox, hx, loy, hy, values):
     )
 
 
+def simulate_rows(repeats: int) -> None:
+    """Whole simulate calls at the agents benchmark's sizes, zero drift, beside
+    the reference stepping; exits unless their final positions agree."""
+    nodes = np.linspace(0.0, 1.0, 33)
+    gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
+    bumps = 0.01 + sum(
+        wt * np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2 * s**2))
+        for wt, cx, cy, s in ((0.8, 0.3, 0.6, 0.1), (0.6, 0.7, 0.4, 0.15), (0.9, 0.5, 0.5, 0.2))
+    )
+    gaussian = GaussianInit((0.5, 0.5), 0.1)
+    runs = [
+        ("two-bump, 1e5 agents, 2D", two_bump_field(), 1e-5,
+         SimConfig(100_000, 2e5, 4e6, 11, (4e6,), gaussian)),
+        ("33x33 CSV grid, 1e5 agents, 2D", GridField((nodes, nodes), bumps), 1e-5,
+         SimConfig(100_000, 2e5, 4e6, 12, (4e6,), gaussian)),
+        ("sine, 1e4 agents, 1D", sine_field(), 0.5,
+         SimConfig(10_000, 2e-3, 0.4, 13, (0.4,), UniformInit())),
+    ]
+    print(f"{'simulate, zero drift':<55} {'per step':>10} {'faults/step':>12}")
+    for label, field, c1, config in runs:
+        steps = round(config.t_end / config.dt)
+        laws = diffusion_coverage_law(field, c1)
+        finals = {}
+        for name, fn in (
+            ("simulate", lambda: simulate(config, laws, field.domain)[-1].positions),
+            ("reference", lambda: reference_simulate(config, field, c1, field.domain)),
+        ):
+            finals[name] = np.ascontiguousarray(fn())  # also the warm-up
+            samples, faults = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                fn()
+                samples.append(time.perf_counter() - t0)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            print(f"{f'{name}, {label}, {steps} steps':<55} "
+                  f"{np.median(samples) / steps * 1e3:>8.3f}ms {faults / (repeats * steps):>12.1f}")
+        if finals["simulate"].tobytes() != finals["reference"].tobytes():
+            raise SystemExit(f"simulate ({label}) differs from the reference stepping")
+    print("simulate: final positions identical to the reference stepping, bit for bit")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--agents", type=int, default=200_000)
@@ -158,6 +254,10 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=200, help="march steps per PDE timing")
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
+
+    # the simulate rows run first, before the other rows' inputs exist: the
+    # allocator's history decides when freed heap goes back to the system
+    simulate_rows(args.repeats)
 
     rng = np.random.default_rng(0)
     n, d = args.agents, 2
@@ -345,6 +445,7 @@ def main() -> None:
     for label, fn in cases:
         times[label] = median_time(fn, args.repeats)
         print(f"{label:<55} {times[label] * 1e3:>8.2f}ms")
+
 
     for label, c_order, column_major in (
         ("step_active", sk.step_active(swarm_c, D2, None, dt, noise_c, lo, hi),

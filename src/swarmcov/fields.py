@@ -62,6 +62,13 @@ class ScalarField:
         raise NotImplementedError
 
     def _check_inside(self, pts: np.ndarray) -> None:
+        # each axis's min and max against the padded box first; NaN fails
+        # this test, and the mask then finds the offending point
+        if not pts.size or all(
+            pts[:, j].min() >= lo - _BOUNDARY_ATOL and pts[:, j].max() <= hi + _BOUNDARY_ATOL
+            for j, (lo, hi) in enumerate(self.domain.extents)
+        ):
+            return
         ok = self.domain.contains(pts, atol=_BOUNDARY_ATOL)
         if not ok.all():
             bad = pts[~ok][0]
@@ -211,7 +218,11 @@ def sine_field() -> AnalyticField:
     c = 1.0 / (2.0 / np.pi + 0.01)
 
     def fn(pts):
-        return c * (np.sin(np.pi * pts[:, 0]) + 0.01)
+        v = np.multiply(pts[:, 0], np.pi)
+        np.sin(v, out=v)
+        v += 0.01
+        v *= c
+        return v
 
     def grad_fn(pts):
         return (c * np.pi * np.cos(np.pi * pts[:, 0]))[:, None]
@@ -224,7 +235,10 @@ def quadratic_field() -> AnalyticField:
     c = 1.0 / (1.0 / 3.0 + 0.01)
 
     def fn(pts):
-        return c * (pts[:, 0] ** 2 + 0.01)
+        v = pts[:, 0] ** 2
+        v += 0.01
+        v *= c
+        return v
 
     def grad_fn(pts):
         return (2.0 * c * pts[:, 0])[:, None]
@@ -233,18 +247,31 @@ def quadratic_field() -> AnalyticField:
 
 
 def _bump_values(pts: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Compactly supported bump exp(-1/(1 - |a*x - b|^2)), values only."""
-    z = a * pts - b
-    # |z|^2 column by column: the same additions as np.sum(z * z, axis=1),
-    # without a reduction over a short inner axis
-    u = z[:, 0] * z[:, 0]
-    for j in range(1, z.shape[1]):
-        u += z[:, j] * z[:, j]
-    inside = u < 1.0
-    f = np.zeros(pts.shape[0])
-    if inside.any():
-        f[inside] = np.exp(-1.0 / (1.0 - u[inside]))
-    return f
+    """Compactly supported bump exp(-1/(1 - |a*x - b|^2)), values only.
+
+    Computed in place on the n-sized columns it makes: |z|^2 column by
+    column (the same additions as np.sum(z * z, axis=1)), then the bump
+    formula on every point, whose values outside the support (overflow, or 0
+    on its rim) are then set to zero.  Each inside value is the one the
+    formula gives on the gathered inside points; a masked (where=) loop
+    would give the same, but runs several times slower when the support
+    holds a scattered part of the swarm."""
+    u = np.multiply(pts[:, 0], a)
+    u -= b
+    u *= u
+    t = None
+    for j in range(1, pts.shape[1]):
+        t = np.multiply(pts[:, j], a, out=t)
+        t -= b
+        t *= t
+        u += t
+    outside = ~(u < 1.0)  # NaN lies outside too
+    with np.errstate(over="ignore", divide="ignore"):
+        np.subtract(1.0, u, out=u)
+        np.divide(-1.0, u, out=u)
+        np.exp(u, out=u)
+    np.copyto(u, 0.0, where=outside)
+    return u
 
 
 def _bump_terms(pts: np.ndarray, a: float, b: float):
@@ -279,9 +306,11 @@ def two_bump_field(background: float = 0.01) -> AnalyticField:
     a2, b2 = 6.0, 2.0
 
     def fn(pts):
-        f1 = _bump_values(pts, a1, b1)
-        f2 = _bump_values(pts, a2, b2)
-        return np.maximum(f1 - f2, 0.0) + background
+        f = _bump_values(pts, a1, b1)
+        f -= _bump_values(pts, a2, b2)
+        np.maximum(f, 0.0, out=f)
+        f += background
+        return f
 
     def grad_fn(pts):
         f1, g1 = _bump_terms(pts, a1, b1)
@@ -366,8 +395,14 @@ def diffusion_coverage_law(field: ScalarField, c1: float, c2: float = 0.0) -> Co
     if c2 < 0:
         raise ValueError("c2 must be nonnegative")
 
+    # in place on the square root, which the law owns (the field's values
+    # may be a view of the points); adding c2 = 0 would change no bit
     def D(pts):
-        return c1 / np.sqrt(field.eval(pts)) + c2
+        d = np.sqrt(field.eval(pts))
+        np.divide(c1, d, out=d)
+        if c2:
+            d += c2
+        return d
 
     if c2 == 0.0:
         drift = None
@@ -375,7 +410,12 @@ def diffusion_coverage_law(field: ScalarField, c1: float, c2: float = 0.0) -> Co
 
         def drift(pts):
             F = field.eval(pts)
-            return (c2 * (c1 / np.sqrt(F) + c2) / F)[:, None] * field.gradient(pts)
+            s = np.sqrt(F)
+            np.divide(c1, s, out=s)
+            s += c2
+            s *= c2
+            s /= F
+            return s[:, None] * field.gradient(pts)
 
     return ControlLaws(D=D, a=drift, H=None, k=0.0)
 

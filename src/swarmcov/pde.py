@@ -212,7 +212,10 @@ def solve(
         raise ValueError("y0 and coefficients must share a grid")
 
     dt = safety * _max_stable_dt(coeffs)
-    n_steps = int(np.ceil(t_end / dt - 1e-9))
+    n_steps = np.ceil(t_end / dt - 1e-9)
+    if not n_steps < 2.0**63:
+        raise ValueError(f"t_end / dt = {t_end / dt:g} steps: the step count does not fit int64")
+    n_steps = int(n_steps)
     snap_idx = snapshot_steps(tuple(snapshot_times) + (t_end,), dt, n_steps)
 
     keep_passive = coeffs.reactive or y2_init is not None

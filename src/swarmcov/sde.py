@@ -9,6 +9,7 @@ reactivation rate k.  All randomness comes from counter-based streams keyed by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Sequence, Union
@@ -100,9 +101,35 @@ class SimConfig:
                 raise ConfigError(f"snapshot time {t} outside [0, t_end]")
 
 
+_FRESH = (0, 0, 0, 0)
+
+
+@functools.cache
+def _shared_generator() -> np.random.Generator:
+    # One Philox generator, re-keyed for every stream: setting its state costs
+    # a fraction of building a Generator, and gives the same draws.  Made on
+    # first use, as importing numpy.random takes tens of ms.
+    return np.random.Generator(np.random.Philox(0))
+
+
 def _stream(seed: int, tag) -> np.random.Generator:
-    key = np.array([np.uint64(seed), np.uint64(tag)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of stream (seed, tag): it draws what
+    ``Generator(Philox(key=np.array([seed, tag], dtype=np.uint64)))`` draws.
+
+    Every call re-keys and returns the same module-level generator, so a
+    stream is good until the next call: draw all of one stream before asking
+    for another (and never from two threads at once).
+    """
+    generator = _shared_generator()
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _FRESH, "key": (seed, tag)},
+        "buffer": _FRESH,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
 
 
 def reflect(x, domain: Domain):
@@ -163,6 +190,15 @@ def simulate(
     Snapshots are taken at the nearest step time >= each requested time.
     ``initial_state``/``step_offset`` allow continuing a previous run under
     new laws without reusing any random-stream keys.
+
+    Buffers: the run owns the swarm (``positions``, ``modes``), its spare
+    position buffer and the draw buffers, each allocated once.  Each step
+    draws into the draw buffers with ``out=``, and hands the step kernel the
+    spare buffer as ``out=``: an active step writes the new positions there
+    and the run swaps it with ``positions``; a switching step uses it as
+    scratch and updates ``positions`` and ``modes`` in place.  The law
+    outputs (D, drift, H) are new arrays each step, only read by the kernel.
+    Snapshots are C-ordered copies, never views of a buffer.
     """
     dt = config.dt
     if laws.k * dt >= 1.0:
@@ -174,7 +210,7 @@ def simulate(
             raise ConfigError(f"dt*max(H) ~ {max_h * dt:g} must stay below 1")
 
     # the swarm is held column-major, so each per-agent operation runs one
-    # contiguous loop per axis; snapshots are C-ordered copies
+    # contiguous loop per axis
     if initial_state is not None:
         positions = np.array(initial_state.positions, dtype=float, order="F")
         modes = np.ascontiguousarray(initial_state.modes, dtype=np.uint8).copy()
@@ -191,7 +227,12 @@ def simulate(
     switching = switching or bool((modes == 0).any())
 
     lo, hi = domain.lo, domain.hi
-    n = config.n_agents
+    n, d = config.n_agents, domain.dim
+    # C order: standard_normal(out=) and random(out=) fill them in the order
+    # standard_normal((n, d)) and random((n, 2)) would
+    noise = np.empty((n, d))
+    unif = np.empty((n, 2)) if switching else None
+    spare = np.empty((n, d), order="F")
     out: list[SwarmState] = []
 
     def record(step: int):
@@ -201,17 +242,18 @@ def simulate(
     record(0)
     for step in range(1, n_steps + 1):
         rng = _stream(config.seed, step_offset + step)
-        noise = np.asfortranarray(rng.standard_normal((n, domain.dim)))
+        rng.standard_normal(out=noise)
         D = laws.D_at(positions)
         drift = None if laws.a is None else laws.a_at(positions)
         if switching:
-            unif = rng.random((n, 2))
+            rng.random(out=unif)
             H = laws.H_at(positions)
             _sk.step_switching(
-                positions, modes, D, drift, H, laws.k, dt, noise, unif, lo, hi
+                positions, modes, D, drift, H, laws.k, dt, noise, unif, lo, hi, out=spare
             )
         else:
-            positions = _sk.step_active(positions, D, drift, dt, noise, lo, hi)
+            moved = _sk.step_active(positions, D, drift, dt, noise, lo, hi, out=spare)
+            positions, spare = moved, positions
         record(step)
     return out
 

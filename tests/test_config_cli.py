@@ -354,6 +354,8 @@ def _unreachable_eigh(monkeypatch):
         pytest.param("d0 = 1.0", "d0 = 1e200", id="d0-squared-overflows"),
         # w is finite, but the stable step's rate 2 * w / h^2 overflows
         pytest.param("d0 = 1.0", "d0 = 1e154", id="stable-step-underflows"),
+        # w and the stable step are finite, but t_end / dt is about 2.8e302 steps
+        pytest.param("d0 = 1.0", "d0 = 1e150", id="step-count-overflows"),
     ],
 )
 def test_cli_exit_two_on_bad_pde_settings(tmp_path, capsys, monkeypatch, old, new):
@@ -629,11 +631,13 @@ def test_cli_numeric_exit_prints_only_the_numeric_error(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the functions that use it, so starting the
-    # command line does not pay for it
+    # scipy is imported inside the functions that use it, and numpy.random
+    # when the first random stream is drawn, so starting the command line
+    # pays for neither
     src = os.path.dirname(os.path.dirname(est.__file__))
     code = ("import sys, swarmcov.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m.startswith('numpy.random')))")
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -1,6 +1,7 @@
 """Property tests for the agent-step kernels, the two-bump field, the
-swarm's memory layout, the interpolation kernels, the closed-form diffusion
-solve, the finite-volume march and the inverse solve."""
+swarm's memory layout, the laws' and kernels' buffers, the per-step random
+stream, the interpolation kernels, the closed-form diffusion solve, the
+finite-volume march and the inverse solve."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from swarmcov import _sde_kernels as sk
 from swarmcov import estimation as est
 from swarmcov import sde
 from swarmcov.errors import DomainError
-from swarmcov.fields import GridField, _bump_terms, diffusion_coverage_law, two_bump_field
+from swarmcov.fields import (
+    AnalyticField,
+    GridField,
+    _bump_terms,
+    diffusion_coverage_law,
+    two_bump_field,
+)
 from swarmcov.grids import Domain, Grid, GridFunction
 from swarmcov.pde import AdrCoefficients, cfl_max_dt, solve
 
@@ -82,6 +89,26 @@ def test_step_without_drift_equals_zero_drift(case, dt, seed):
     none = sk.step_active(pos, D, None, dt, noise, lo, hi)
     zero = sk.step_active(pos, D, np.zeros_like(pos), dt, noise, lo, hi)
     assert none.tobytes() == zero.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_points(), st.floats(1e-8, 1e3), st.integers(0, 2**32 - 1), st.booleans(),
+       st.booleans())
+def test_step_writes_only_into_its_out_buffer(case, dt, seed, with_drift, fortran_out):
+    pos, lo, hi = case
+    rng = np.random.default_rng(seed)
+    D = rng.random(pos.shape[0]) * 10.0
+    drift = rng.standard_normal(pos.shape) if with_drift else None
+    noise = rng.standard_normal(pos.shape)
+    inputs = [a for a in (pos, D, drift, noise, lo, hi) if a is not None]
+    before = [a.copy() for a in inputs]
+    fresh = sk.step_active(pos, D, drift, dt, noise, lo, hi)
+    out = np.full(pos.shape, np.nan, order="F" if fortran_out else "C")
+    given = sk.step_active(pos, D, drift, dt, noise, lo, hi, out=out)
+    assert given is out
+    _same_bits(fresh, out)
+    for a, b in zip(inputs, before):
+        _same_bits(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -226,6 +253,62 @@ def test_interpolation_matches_the_per_corner_formula(nx, ny, lo, h, n, seed):
     _same_bits(got, _interp2_reference(xq, yq, lo, h, lo, h, values))
     got = fk.interp1(xq, lo, h, values[:, 0].copy())
     _same_bits(got, _interp1_reference(xq, lo, h, values[:, 0].copy()))
+
+
+@pytest.mark.parametrize("c2", [0.0, 0.3])
+def test_laws_leave_points_alone_when_the_field_returns_views(c2):
+    # the field's values and gradient are views of the points: a law may
+    # compute in place only on arrays it made
+    field = AnalyticField(Domain.unit_square(), lambda p: p[:, 0], lambda p: p, floor=0.1)
+    pts = np.array([[0.25, 0.64]])
+    laws = diffusion_coverage_law(field, 0.5, c2)
+    D = laws.D_at(pts)
+    assert pts.tolist() == [[0.25, 0.64]]
+    assert D[0] == 0.5 / np.sqrt(0.25) + c2
+    if c2:
+        a = laws.a_at(pts)
+        assert pts.tolist() == [[0.25, 0.64]]
+        assert a.tolist() == [[c2 * D[0] / 0.25 * 0.25, c2 * D[0] / 0.25 * 0.64]]
+
+
+# ---------------------------------------------------------------------------
+# the per-step stream: one module-level Philox, re-keyed for each (seed, tag),
+# draws what a new Generator(Philox(key=(seed, tag))) draws
+
+
+keys = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys, st.one_of(keys, st.just(sde._INIT_TAG)), st.integers(1, 33), st.integers(1, 2),
+       keys, keys, st.integers(0, 7), st.integers(0, 7))
+def test_stream_draws_what_a_new_philox_draws(seed, tag, n, d, seed0, tag0, normals, floats):
+    def new():
+        # a uint64 key array: Philox(key=[seed, tag]) goes through float64
+        # and rounds keys above 2**53
+        key = np.array([seed, tag], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    def left_part_way():
+        # another stream stopped mid-buffer, possibly holding half a word
+        prior = sde._stream(seed0, tag0)
+        prior.standard_normal(normals)
+        prior.random(floats, dtype=np.float32)
+
+    left_part_way()
+    got = sde._stream(seed, tag)
+    want = new()
+    # as a step draws them: normals, then the switching uniforms
+    assert got.standard_normal((n, d)).tobytes() == want.standard_normal((n, d)).tobytes()
+    assert got.random((n, 2)).tobytes() == want.random((n, 2)).tobytes()
+
+    left_part_way()
+    buf = np.empty((n, d))
+    sde._stream(seed, tag).standard_normal(out=buf)
+    assert buf.tobytes() == new().standard_normal((n, d)).tobytes()
+
+    left_part_way()
+    assert sde._stream(seed, tag).random(n).tobytes() == new().random(n).tobytes()
 
 
 @pytest.mark.parametrize("c2", [0.0, 0.05])

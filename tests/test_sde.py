@@ -21,6 +21,7 @@ from swarmcov import (
     simulate,
     sine_field,
     tv_distance,
+    two_bump_field,
 )
 from swarmcov.sde import (
     histogram_series_to_csv,
@@ -209,6 +210,23 @@ def test_step_offset_resumes_stream():
     )
     assert np.array_equal(full[0].positions, head[0].positions)
     assert np.array_equal(full[1].positions, tail[0].positions)
+
+
+@pytest.mark.parametrize("family", ["diffusion", "reaction"])
+def test_every_step_snapshot_equals_a_run_stopped_there(family):
+    # the run hands its step kernel a spare buffer and swaps it with the
+    # swarm: no snapshot may alias a buffer a later step writes into
+    field = two_bump_field()
+    laws = (diffusion_coverage_law(field, 0.05, 0.1) if family == "diffusion"
+            else reaction_coverage_law(field, 0.05, 1.0, 2.0))
+    dt, steps = 1e-3, 6
+    times = tuple(s * dt for s in range(steps + 1))
+    every = simulate(SimConfig(50, dt, steps * dt, 5, times), laws, SQUARE)
+    assert len(every) == steps + 1
+    for s in range(1, steps + 1):
+        stopped = simulate(SimConfig(50, dt, s * dt, 5, (s * dt,)), laws, SQUARE)[-1]
+        assert every[s].positions.tobytes() == stopped.positions.tobytes()
+        assert every[s].modes.tobytes() == stopped.modes.tobytes()
 
 
 # ---------------------------------------------------------------------------
