@@ -28,6 +28,7 @@ from . import pde
 from ._csv import write_csv as _write_rows
 from .config import (
     SCHEMAS,
+    _as_seed,
     build_field,
     build_graph,
     build_init,
@@ -113,9 +114,9 @@ def cmd_coverage(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> Non
     grid = Grid(field.domain, (outputs["bins"],) * field.domain.dim)
     reference = _field_reference(field, grid)
     entries = [(s.time, histogram(s, grid)) for s in states]
-    histogram_series_to_csv(entries, os.path.join(out, "histograms.csv"))
     times = [t for t, _ in entries]
     tvs = [tv_distance(h, reference) for _, h in entries]
+    histogram_series_to_csv(entries, os.path.join(out, "histograms.csv"))
     _write_rows(os.path.join(out, "tv_summary.csv"), "t,tv", "%.17g,%.17g", times, tvs)
     if gnuplot:
         _write_gp(
@@ -171,16 +172,9 @@ def cmd_pde(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
     grid = Grid(domain, (solver["cells"],) * domain.dim)
     t_end = solver["t_end"]
     snaps = solver["snapshots"] or tuple(t_end * i / 16 for i in range(1, 17))
-    try:
-        coeffs = pde.coefficients_from_laws(laws, grid)
-        y0 = _initial_density(_section(cfg, "pde", "initial"), grid)
-        report = pde.solve(y0, coeffs, t_end, snapshot_times=snaps, safety=solver["safety"])
-    except ValueError as exc:
-        # raised only by checks of the coefficients, the initial density, the
-        # solve's settings and the closed form's cell limit
-        raise ConfigError(str(exc)) from exc
-
-    histogram_series_to_csv(report.pairs(), os.path.join(out, "snapshots.csv"))
+    coeffs = pde.coefficients_from_laws(laws, grid)
+    y0 = _initial_density(_section(cfg, "pde", "initial"), grid)
+    report = pde.solve(y0, coeffs, t_end, snapshot_times=snaps, safety=solver["safety"])
 
     target = pde.steady_state(coeffs.w)
     rate: float = float("nan")
@@ -198,6 +192,7 @@ def cmd_pde(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
         except (DegenerateFitError, ValueError):
             pass  # converged input or too few snapshots: report stays nan
     norms = np.reshape(norm_rows, (-1, 2)).T  # t and norm columns, empty when reactive
+    histogram_series_to_csv(report.pairs(), os.path.join(out, "snapshots.csv"))
     _write_rows(os.path.join(out, "decay_norms.csv"), "t,residual_norm", "%.17g,%.17g", *norms)
     _write_summary(
         os.path.join(out, "report.csv"),
@@ -253,14 +248,11 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
     c, exponent = rates["c"], rates["exponent"]
     if c <= 0:
         raise ConfigError("rate constant c must be positive")
-    if exponent not in (1, -1):
-        raise ConfigError("exponent must be +1 or -1")
     rates = c * f ** float(exponent) * g.degrees
     # a one-vertex graph has degree 0 and never jumps
     if not (np.isfinite(rates).all() and (rates > 0)[g.degrees > 0].all()):
         raise ConfigError("jump rates c * f**exponent * degree must be finite and positive")
     if "sample" in cfg:
-        # checked before any artifact is written
         samp = cfg["sample"]
         t_end, max_jumps = samp["t_end"], samp["max_jumps"]
         if not t_end > 0:
@@ -272,44 +264,35 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
                 raise ConfigError("sampling needs a finite t_end or a max_jumps cap")
             if g.n_vertices == 1:
                 raise ConfigError("a one-vertex graph never jumps: sampling needs a finite t_end")
-        if not 0 <= samp["start"] < g.n_vertices:
-            raise ConfigError("sample start vertex out of range")
 
+    # everything is computed, and so checked by the library, before any
+    # artifact is written
     pi = gr.invariant_distribution(g, f, exponent)
     residual = gr.laplacian(g) @ (c * f ** float(exponent) * pi)
-    vertices = np.arange(g.n_vertices)
-    _write_rows(os.path.join(out, "invariant.csv"), "vertex,pi,residual", "%d,%.17g,%.17g",
-                vertices, pi, residual)
     summary: list[tuple[str, Any]] = [("max_residual", float(np.abs(residual).max()))]
-
     if "propagate" in cfg:
-        prop = cfg["propagate"]
-        p0 = _build_p0(prop["p0"], g.n_vertices)
-        times = np.asarray(prop["times"])
-        if (times < 0).any():
-            raise ConfigError("propagate times must be nonnegative")
+        times = np.asarray(cfg["propagate"]["times"])
+        p0 = _build_p0(cfg["propagate"]["p0"], g.n_vertices)
         ps = gr.propagate(g, p0, f, c, times, exponent)
-        columns = np.repeat(times, g.n_vertices), np.tile(vertices, len(times)), ps.ravel()
-        _write_rows(os.path.join(out, "propagate.csv"), "t,vertex,probability", "%.17g,%d,%.17g",
-                    *columns)
-
     occ = None
     if "sample" in cfg:
-        samp = cfg["sample"]
         run_seed = samp["seed"] if seed is None else seed
-        t_end = samp["t_end"]
-        traj = gr.sample_ctmc(
-            g, f, c, samp["start"], t_end, run_seed, exponent, samp["max_jumps"]
-        )
-        gr.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
-        occ = gr.occupation(
-            traj, g.n_vertices, t_end if np.isfinite(t_end) else None
-        )
-        _write_rows(os.path.join(out, "occupation.csv"), "vertex,occupation", "%d,%.17g",
-                    vertices, occ)
+        traj = gr.sample_ctmc(g, f, c, samp["start"], t_end, run_seed, exponent, max_jumps)
+        occ = gr.occupation(traj, g.n_vertices, t_end if np.isfinite(t_end) else None)
         summary.append(("tv_occupation_vs_pi", 0.5 * float(np.abs(occ - pi).sum())))
         summary.append(("n_jumps", traj.n_jumps))
 
+    vertices = np.arange(g.n_vertices)
+    _write_rows(os.path.join(out, "invariant.csv"), "vertex,pi,residual", "%d,%.17g,%.17g",
+                vertices, pi, residual)
+    if "propagate" in cfg:
+        columns = np.repeat(times, g.n_vertices), np.tile(vertices, len(times)), ps.ravel()
+        _write_rows(os.path.join(out, "propagate.csv"), "t,vertex,probability", "%.17g,%d,%.17g",
+                    *columns)
+    if occ is not None:
+        gr.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
+        _write_rows(os.path.join(out, "occupation.csv"), "vertex,occupation", "%d,%.17g",
+                    vertices, occ)
     _write_summary(os.path.join(out, "summary.csv"), summary)
     if gnuplot:
         lines = [
@@ -352,55 +335,46 @@ def cmd_estimate(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> Non
             raise ConfigError("[protocol] mode needs a [window] section")
         win = cfg["window"]
         proto = cfg["protocol"]
-        try:
-            partition = est.window_partition((win["lo"], win["hi"]), win["divisor"])
-            result = est.run_protocol(
-                field,
-                coverage_gain=proto["c1"],
-                d=proto["d"],
-                T1=proto["t1"],
-                T2=proto["t2"],
-                n_agents=proto["agents"],
-                partition=partition,
-                seed=proto["seed"] if seed is None else seed,
-                dt_coverage=proto["dt_coverage"],
-                n_obs=proto["n_obs"],
-                lam=inverse["lam"],
-                basis_size=inverse["basis"],
-                grid_cells=inverse["cells"],
-                max_iters=inverse["max_iters"],
-            )
-        except ValueError as exc:  # run_protocol raises it only from checks of its arguments
-            raise ConfigError(str(exc)) from exc
+        partition = est.window_partition((win["lo"], win["hi"]), win["divisor"])
+        result = est.run_protocol(
+            field,
+            coverage_gain=proto["c1"],
+            d=proto["d"],
+            T1=proto["t1"],
+            T2=proto["t2"],
+            n_agents=proto["agents"],
+            partition=partition,
+            seed=proto["seed"] if seed is None else seed,
+            dt_coverage=proto["dt_coverage"],
+            n_obs=proto["n_obs"],
+            lam=inverse["lam"],
+            basis_size=inverse["basis"],
+            grid_cells=inverse["cells"],
+            max_iters=inverse["max_iters"],
+        )
         estimate, observations = result.estimate, result.observations
     else:
         obs_sec = cfg["observations"]
         domain = field.domain if field is not None else Domain.unit_interval()
-        try:
-            observations = est.load_observations_csv(obs_sec["path"])
-            problem = est.EstimationProblem(
-                domain=domain,
-                grid_cells=inverse["cells"],
-                basis_size=inverse["basis"],
-                d=obs_sec["d"],
-                lam=inverse["lam"],
-                T1=obs_sec["t1"],
-                T2=obs_sec["t2"],
-                obs=observations,
-            )
-        except OSError as exc:
-            raise ConfigError(f"cannot read observations: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        observations = est.load_observations_csv(obs_sec["path"])
+        problem = est.EstimationProblem(
+            domain=domain,
+            grid_cells=inverse["cells"],
+            basis_size=inverse["basis"],
+            d=obs_sec["d"],
+            lam=inverse["lam"],
+            T1=obs_sec["t1"],
+            T2=obs_sec["t2"],
+            obs=observations,
+        )
         partition = observations.partition
         estimate = est.solve_inverse(problem, max_iters=inverse["max_iters"]).normalized()
 
-    est.save_observations_csv(os.path.join(out, "observations.csv"), observations)
     summary: list[tuple[str, Any]] = [
         ("kkt_residual", estimate.kkt_residual),
         ("objective_final", estimate.objective_history[-1]),
     ]
-    scaled = None
+    scaled = truth_nodes = None
     if field is not None:
         grid = estimate.u_hat.grid
         truth = _field_reference(field, grid)
@@ -413,10 +387,10 @@ def cmd_estimate(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> Non
         scaled, scale = est.rescale_with_known(estimate.u_hat, partition, known)
         summary.append(("scale", scale))
         xs = grid.centers(0)
-        save_field_csv(
-            GridField((xs,), np.asarray(field(xs)), label="truth"),
-            os.path.join(out, "truth.csv"),
-        )
+        truth_nodes = GridField((xs,), np.asarray(field(xs)), label="truth")
+    est.save_observations_csv(os.path.join(out, "observations.csv"), observations)
+    if truth_nodes is not None:
+        save_field_csv(truth_nodes, os.path.join(out, "truth.csv"))
     est.save_estimate_csv(os.path.join(out, "estimate.csv"), estimate.u_hat, scaled)
     _write_summary(os.path.join(out, "summary.csv"), summary)
 
@@ -462,7 +436,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI experiment description")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_as_seed, default=None, help="override the config seed")
         p.add_argument("--gnuplot", action="store_true", help="emit companion plot scripts")
     args = parser.parse_args(argv)
 
@@ -473,12 +447,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         # that meets its inf or NaN, not also by numpy's RuntimeWarnings
         with np.errstate(all="ignore"):
             _COMMANDS[args.command][0](cfg, out, args.seed, args.gnuplot)
-    except ConfigError as exc:
-        print(f"swarmcov: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericError, DegenerateFitError, DomainError, FloatingPointError) as exc:
+    # the numeric clause comes first: DomainError and LinAlgError are ValueErrors
+    except (NumericError, DegenerateFitError, DomainError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"swarmcov: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # every other value the library rejects, and every file it cannot read, is
+    # bad input: the library checks it before a subcommand writes its first file
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"swarmcov: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

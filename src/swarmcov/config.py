@@ -2,7 +2,10 @@
 
 Each subcommand has a fixed schema.  Unknown sections or keys are rejected,
 required keys must be present, and every value is parsed to its declared type
-before any computation starts, so a bad config never produces partial output.
+before any computation starts.  Values the library rejects later (as
+ValueError, or OSError for an unreadable file) are bad input too: every
+subcommand makes all its checks and computations before it writes a file, so
+no bad input leaves partial output.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ __all__ = ["load_config", "SCHEMAS"]
 
 def _as_int(text: str) -> int:
     return int(text, 0)
+
+
+def _as_seed(text: str) -> int:
+    """An integer in [0, 2**64): a Philox key word, and a SeedSequence entropy."""
+    value = int(text, 0)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed {value} outside [0, 2**64)")
+    return value
 
 
 def _as_float(text: str) -> float:
@@ -112,7 +123,7 @@ SCHEMAS: dict[str, dict[str, Section]] = {
                 "agents": Key(_as_int, required=True),
                 "dt": Key(_as_float, required=True),
                 "t_end": Key(_as_float, required=True),
-                "seed": Key(_as_int, required=True),
+                "seed": Key(_as_seed, required=True),
                 "snapshots": Key(_as_floats, default=()),
                 "workers": Key(_as_int, default=1),  # accepted from older configs; ignored
                 "init": Key(_as_str, default="uniform"),
@@ -151,7 +162,7 @@ SCHEMAS: dict[str, dict[str, Section]] = {
                 "kind": Key(_as_str, required=True),
                 "n": Key(_as_int),
                 "extra_edges": Key(_as_int, default=0),
-                "seed": Key(_as_int, default=0),
+                "seed": Key(_as_seed, default=0),
                 "path": Key(_as_str),
             }
         ),
@@ -174,7 +185,7 @@ SCHEMAS: dict[str, dict[str, Section]] = {
             keys={
                 "start": Key(_as_int, default=0),
                 "t_end": Key(_as_float_or_inf, default=float("inf")),
-                "seed": Key(_as_int, required=True),
+                "seed": Key(_as_seed, required=True),
                 "max_jumps": Key(_as_int),
             },
             required=False,
@@ -192,7 +203,7 @@ SCHEMAS: dict[str, dict[str, Section]] = {
                 "agents": Key(_as_int, required=True),
                 "dt_coverage": Key(_as_float, required=True),
                 "n_obs": Key(_as_int, default=20),
-                "seed": Key(_as_int, required=True),
+                "seed": Key(_as_seed, required=True),
                 "workers": Key(_as_int, default=1),  # accepted from older configs; ignored
             },
             required=False,
@@ -351,10 +362,7 @@ def build_graph(sec: dict[str, Any]) -> Graph:
     if kind == "edgelist":
         if not sec["path"]:
             raise ConfigError("graph kind 'edgelist' needs a 'path'")
-        try:
-            return load_edge_list(sec["path"])
-        except OSError as exc:
-            raise ConfigError(f"cannot read edge list: {exc}") from exc
+        return load_edge_list(sec["path"])
     if sec["n"] is None:
         raise ConfigError(f"graph kind {kind!r} needs 'n'")
     if kind == "path":
@@ -375,8 +383,6 @@ def build_node_values(sec: dict[str, Any], n_vertices: int) -> np.ndarray:
     elif sec["path"]:
         try:
             raw = read_csv(sec["path"], "vertex,value")
-        except OSError as exc:
-            raise ConfigError(f"cannot read node values: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"node-value CSV: {exc}") from exc
         values = np.empty(len(raw))

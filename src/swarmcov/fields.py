@@ -489,10 +489,8 @@ def load_field_csv(path) -> GridField:
     ys = np.unique(data[:, 1])
     if len(xs) * len(ys) != data.shape[0]:
         raise ValueError("field CSV does not cover a complete grid")
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    ix = np.rint((data[:, 0] - xs[0]) / hx).astype(int)
-    iy = np.rint((data[:, 1] - ys[0]) / hy).astype(int)
+    ix = np.searchsorted(xs, data[:, 0])
+    iy = np.searchsorted(ys, data[:, 1])
     values = np.full((len(xs), len(ys)), np.nan)
     values[ix, iy] = data[:, 2]
     if np.isnan(values).any():

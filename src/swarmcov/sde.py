@@ -96,6 +96,10 @@ class SimConfig:
             raise ConfigError("dt must be positive")
         if self.t_end < 0:
             raise ConfigError("t_end must be nonnegative")
+        if not np.ceil(self.t_end / self.dt - 1e-9) < 2.0**63:
+            raise ConfigError(
+                f"t_end / dt = {self.t_end / self.dt:g} steps: the step count does not fit int64"
+            )
         for t in self.snapshot_times:
             if not 0 <= t <= self.t_end:
                 raise ConfigError(f"snapshot time {t} outside [0, t_end]")

@@ -13,7 +13,7 @@ from swarmcov import ConfigError, Grid, GridFunction, NumericError, sine_field
 from swarmcov import estimation as est
 from swarmcov import graphs as gr
 from swarmcov.cli import main
-from swarmcov.config import build_init, load_config
+from swarmcov.config import _as_seed, build_init, load_config
 from swarmcov.estimation import load_estimate_csv, load_observations_csv
 from swarmcov.fields import load_field_csv
 from swarmcov.graphs import load_trajectory_csv
@@ -589,6 +589,84 @@ def test_cli_exit_three_on_non_finite_solve(tmp_path, capsys, rows):
     assert _run_estimate(tmp_path, OBS_CONFIG) == 3
     err = capsys.readouterr().err
     assert "numeric error" in err and "Traceback" not in err
+
+
+EDGE_LIST = [("kind = path\nn = 3", "kind = edgelist\npath = edges.txt")]
+CSV_FIELD = [("kind = sine", "kind = csv\npath = field.csv")]
+
+
+@pytest.mark.parametrize(
+    "subcommand, edits, files, message",
+    [
+        pytest.param("graph", [("n = 3", "n = 0")], {}, "at least one vertex", id="graph-n-zero"),
+        pytest.param("graph", EDGE_LIST, {"edges.txt": "0 1\n0 1 2\n"}, "bad edge line",
+                     id="edge-line-of-three"),
+        pytest.param("graph", EDGE_LIST, {"edges.txt": "0 1\n2 3\n"}, "connected",
+                     id="edge-list-disconnected"),
+        pytest.param("graph", [("kind = path", "kind = random\nseed = -1")], {}, "seed -1",
+                     id="graph-random-seed-negative"),
+        pytest.param("graph", [("seed = 7", "seed = -5")], {}, "seed -5", id="sample-seed-negative"),
+        # the library's check, which runs after pi is computed but before it is written
+        pytest.param("graph", [("times = 0.5, 1.0", "times = -0.5, 1.0")], {}, "nonnegative",
+                     id="propagate-time-negative"),
+        pytest.param("coverage", CSV_FIELD, {}, "No such file", id="field-csv-missing"),
+        pytest.param("coverage", CSV_FIELD, {"field.csv": "x,value\n0,1\n0.1,1\n0.5,1\n1,1\n"},
+                     "uniformly spaced", id="field-csv-non-uniform"),
+        pytest.param("coverage", CSV_FIELD,
+                     {"field.csv": "x,y,value\n" + "".join(f"{x},{y},1\n" for x in (0, 0.5, 1)
+                                                          for y in (0, 0.1, 1))},
+                     "uniformly spaced", id="field-csv-2d-non-uniform"),
+        pytest.param("coverage", CSV_FIELD, {"field.csv": "x,value\n0,1\n0.5,0\n1,1\n"},
+                     "strictly positive", id="field-csv-zero-sample"),
+        pytest.param("coverage", [("seed = 3", "seed = -1")], {}, "seed -1",
+                     id="simulation-seed-negative"),
+        pytest.param("coverage", [("seed = 3", f"seed = {2**64}")], {}, f"seed {2**64}",
+                     id="simulation-seed-2-to-64"),
+        pytest.param("estimate", [("seed = 1", "seed = -1")], {}, "seed -1",
+                     id="protocol-seed-negative"),
+        pytest.param("coverage", [("dt = 0.01", "dt = 1e-300"), ("t_end = 0.05", "t_end = 1e300")],
+                     {}, "step count", id="coverage-step-count-infinite"),
+        pytest.param("estimate", [("dt_coverage = 1e-3", "dt_coverage = 1e-300")], {},
+                     "step count", id="protocol-step-count-past-int64"),
+    ],
+)
+def test_cli_exit_two_on_bad_input(tmp_path, capsys, monkeypatch, subcommand, edits, files,
+                                   message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the input must be rejected before the swarm runs")
+
+    monkeypatch.setattr(est, "simulate", unreachable)
+    text = {"coverage": MINIMAL_COVERAGE, "graph": MINIMAL_GRAPH,
+            "estimate": PROTOCOL_CONFIG}[subcommand]
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", _write(tmp_path, text, out=str(out))]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("swarmcov: config error: ")
+    assert message in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_seed_override_outside_uint64_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL_COVERAGE, out=str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["coverage", "--config", path, "--seed", "-3"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_parser_takes_the_uint64_range():
+    assert _as_seed("0") == 0 and _as_seed(str(2**64 - 1)) == 2**64 - 1
+    assert _as_seed("0x10") == 16
+    for text in ("-1", str(2**64), "2.5", ""):
+        with pytest.raises(ValueError):
+            _as_seed(text)
 
 
 def _overflowing_coverage(tmp_path, out):

@@ -1,7 +1,13 @@
 """Property tests for the agent-step kernels, the two-bump field, the
 swarm's memory layout, the laws' and kernels' buffers, the per-step random
 stream, the interpolation kernels, the closed-form diffusion solve, the
-finite-volume march and the inverse solve."""
+finite-volume march, the inverse solve and the command line's exit codes."""
+
+import contextlib
+import io
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
 from swarmcov import estimation as est
 from swarmcov import sde
+from swarmcov.cli import main
 from swarmcov.errors import DomainError
 from swarmcov.fields import (
     AnalyticField,
@@ -24,6 +31,15 @@ from swarmcov.fields import (
 )
 from swarmcov.grids import Domain, Grid, GridFunction
 from swarmcov.pde import AdrCoefficients, cfl_max_dt, solve
+
+from test_config_cli import (
+    MINIMAL_COVERAGE,
+    MINIMAL_GRAPH,
+    MINIMAL_PDE,
+    OBS_CONFIG,
+    OBS_ROWS,
+    PROTOCOL_CONFIG,
+)
 
 # magnitudes stay far from overflow of x - lo and 2 * span
 coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -436,3 +452,66 @@ def test_inverse_solution_is_a_kkt_point(problem):
     assert kkt <= 1e-9 * max(1.0, np.abs(g).max())
     assert solution.kkt_residual == kkt
     assert solution.objective_history == [est.objective(c, problem)]
+
+
+# ---------------------------------------------------------------------------
+# the command line's contract over mutated configs
+
+HOSTILE = ["0", "-1", "1e300", "-1e300", "2.5", "abc", ""]
+
+# The keys that set a run's length also draw from small ranges of working
+# values.  No hostile token makes their runs long: 0 and -1 fail a check,
+# 1e300 and 2.5 do not parse as integers, and as floats they give a step
+# count that is rejected (t_end / dt past 2**63) or a few thousand at most.
+RUN_LENGTH = {
+    "dt": st.floats(0.005, 0.05),
+    "t_end": st.floats(0.0, 0.2),
+    "agents": st.integers(1, 100),
+    "cells": st.integers(2, 64),
+    "max_jumps": st.integers(1, 1000),
+    "n": st.integers(1, 8),
+    "n_obs": st.integers(1, 5),
+    "divisor": st.integers(1, 50),
+}
+
+CLI_CONFIGS = {
+    "coverage": ("coverage", MINIMAL_COVERAGE),
+    "pde": ("pde", MINIMAL_PDE),
+    "graph": ("graph", MINIMAL_GRAPH),
+    "protocol": ("estimate", PROTOCOL_CONFIG),
+    "observations": ("estimate", OBS_CONFIG),
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_CONFIGS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_exits_0_2_or_3_on_any_one_key_mutated(name, data):
+    # a config error leaves nothing behind; every failure is one stderr line
+    subcommand, text = CLI_CONFIGS[name]
+    lines = text.splitlines()
+    keys = [i for i, line in enumerate(lines)
+            if re.match(r"\w+ = ", line) and not line.startswith("dir =")]
+    i = data.draw(st.sampled_from(keys), label="line")
+    key = lines[i].split(" = ")[0]
+    value = st.sampled_from(HOSTILE)
+    if key in RUN_LENGTH:
+        value = value | RUN_LENGTH[key].map(str)
+    lines[i] = f"{key} = {data.draw(value, label=key)}"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        rows = [",".join(map(str, row)) for row in OBS_ROWS]
+        with open(os.path.join(tmp, "obs.csv"), "w") as fh:
+            fh.write("\n".join(["t,cell_lo,cell_hi,fraction"] + rows) + "\n")
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines).format(out=out))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", path])
+        assert code in (0, 2, 3)
+        if code:
+            assert len(err.getvalue().splitlines()) == 1
+        if code == 2:
+            assert err.getvalue().startswith("swarmcov: config error: ")
+            assert not os.path.exists(out) or not os.listdir(out)
