@@ -32,14 +32,21 @@ equation to 5 times, which must match scipy.linalg.expm of the generator to
 The simulate rows run whole sde.simulate calls at the agents benchmark's
 sizes, with zero drift as there: the two-bump and a 33x33 CSV grid field with
 1e5 agents, 20 steps and a Gaussian start, and the sine field with 1e4
-agents, 200 steps and a uniform start.  Each prints ms per step and minor
-page faults per step (getrusage's ru_minflt over the timed calls; glibc
-returns freed heap to the system once its free top exceeds a threshold, so
-a step whose temporaries pass it faults them in again), beside the same run
-with the stepping it replaced, kept here as the reference: a Generator built
-per step, a noise array and its column-major copy per step, the law's
-allocating c1/sqrt(F) + c2, and the allocating step and reflection.  The
-final positions must match the reference's bit for bit.
+agents, 200 steps and a uniform start.  Two more rows step 1e5 agents on the
+two-bump field for 20 steps of dt = 1e-3, with the drift law (c1 = 0.05,
+c2 = 0.1) and with the reaction law (c1 = 0.05, c2 = 100, k = 50).  Each
+prints ms per step, minor page faults per step (getrusage's ru_minflt over
+the timed calls; glibc returns freed heap to the system once its free top
+exceeds a threshold, so a step whose temporaries pass it faults them in
+again) and tracemalloc's peak over one call, beside the same run with the
+stepping it replaced, kept here as the reference: a Generator built per
+step, a noise array and its column-major copy per step, the laws evaluated
+on the whole swarm (for zero drift, the law's allocating c1/sqrt(F) + c2),
+the allocating step and reflection, and the stop/go switch applied by masks.
+The final positions and modes must match the reference's bit for bit.
+The CLI rows print tracemalloc's peak over whole coverage and estimate calls
+shaped like the agents benchmark's (1e5 agents on the two-bump and a CSV grid
+field with three snapshots; the est_sin protocol at 1e4 agents).
 The CSV rows write the 3e5-jump trajectory and three 2D snapshots of 1e5
 agents, the coverage runs' swarm size, with write_csv, which formats the
 cells in numpy, and with the chunked % writer it replaced, kept here as the
@@ -56,6 +63,7 @@ import os
 import resource
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 from scipy.linalg import expm
@@ -65,6 +73,7 @@ from swarmcov import _field_kernels as fk
 from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
 from swarmcov import estimation as est
+from swarmcov import cli
 from swarmcov import graphs as gr
 from swarmcov import (
     GaussianInit,
@@ -74,6 +83,8 @@ from swarmcov import (
     UniformInit,
     diffusion_coverage_law,
     pde,
+    reaction_coverage_law,
+    save_field_csv,
     sde,
     simulate,
     sine_field,
@@ -152,11 +163,10 @@ def per_jump_sample_ctmc(g, f, c, start, t_end, seed, exponent=1, max_jumps=None
     return gr.Trajectory(np.concatenate(times), np.concatenate(verts))
 
 
-def reference_step_active(pos, D, dt, noise, lo, hi):
-    """The allocating zero-drift step simulate used before it stepped into a
-    buffer."""
+def reference_step_active(pos, D, dt, noise, lo, hi, drift=None):
+    """The allocating step simulate used before it stepped into a buffer."""
     term = (D * np.sqrt(2.0 * dt))[:, None] * noise
-    term += pos
+    term += pos if drift is None else pos + drift * dt
     return reference_reflect(term, lo, hi)
 
 
@@ -174,19 +184,34 @@ def reference_reflect(x, lo, hi):
     return r
 
 
-def reference_simulate(config, field, c1, domain):
-    """simulate's zero-drift loop as it was: a Generator per step, a noise
-    array and its column-major copy per step, the allocating law and step;
-    returns the final positions."""
+def reference_simulate(config, laws, domain, D=None):
+    """simulate's loop as it was: a Generator per step, a noise array and its
+    column-major copy per step, the laws evaluated on the whole swarm and the
+    allocating step, with the stop/go switch applied by masks; returns the
+    final positions and modes.  D replaces laws.D when given: the zero-drift
+    runs pass the allocating c1/sqrt(F) + c2 the diffusion law had."""
     positions = np.asfortranarray(sde._initial_positions(config, domain))
     n, d = positions.shape
-    for step in range(1, round(config.t_end / config.dt) + 1):
+    modes = np.ones(n, dtype=np.uint8)
+    dt, lo, hi = config.dt, domain.lo, domain.hi
+    for step in range(1, round(config.t_end / dt) + 1):
         key = np.array([np.uint64(config.seed), np.uint64(step)], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         noise = np.asfortranarray(rng.standard_normal((n, d)))
-        D = c1 / np.sqrt(field.eval(positions)) + 0.0  # the law's "+ c2" at c2 = 0
-        positions = reference_step_active(positions, D, config.dt, noise, domain.lo, domain.hi)
-    return positions
+        drift = None if laws.a is None else laws.a(positions)
+        moved = reference_step_active(positions, (D or laws.D)(positions), dt, noise, lo, hi,
+                                      drift)
+        if not laws.switching:
+            positions = moved
+            continue
+        unif = rng.random((n, 2))
+        active = modes == 1
+        stop = (unif[:, 0] < laws.H(positions) * dt) & active
+        go = (unif[:, 1] < laws.k * dt) & ~active
+        positions[active] = moved[active]
+        modes[stop] = 0
+        modes[go] = 1
+    return positions, modes
 
 
 def interp2_reference(xq, yq, lox, hx, loy, hy, values):
@@ -206,9 +231,20 @@ def interp2_reference(xq, yq, lox, hx, loy, hy, values):
     )
 
 
+def traced_peak_mb(fn) -> float:
+    """tracemalloc's peak over one call of fn, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def simulate_rows(repeats: int) -> None:
-    """Whole simulate calls at the agents benchmark's sizes, zero drift, beside
-    the reference stepping; exits unless their final positions agree."""
+    """Whole simulate calls at the agents benchmark's sizes, zero drift, and
+    drift and reaction runs at 1e5 agents, beside the reference stepping;
+    exits unless their final positions and modes agree."""
     nodes = np.linspace(0.0, 1.0, 33)
     gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
     bumps = 0.01 + sum(
@@ -216,35 +252,122 @@ def simulate_rows(repeats: int) -> None:
         for wt, cx, cy, s in ((0.8, 0.3, 0.6, 0.1), (0.6, 0.7, 0.4, 0.15), (0.9, 0.5, 0.5, 0.2))
     )
     gaussian = GaussianInit((0.5, 0.5), 0.1)
+    two_bump, grid_field, sine = two_bump_field(), GridField((nodes, nodes), bumps), sine_field()
+
+    def zero_drift(field, c1):
+        # the law, and the allocating c1/sqrt(F) + c2 (c2 = 0) it replaced
+        return (field, diffusion_coverage_law(field, c1),
+                lambda pts: c1 / np.sqrt(field.eval(pts)) + 0.0)
+
     runs = [
-        ("two-bump, 1e5 agents, 2D", two_bump_field(), 1e-5,
+        ("two-bump, 1e5 agents, 2D", *zero_drift(two_bump, 1e-5),
          SimConfig(100_000, 2e5, 4e6, 11, (4e6,), gaussian)),
-        ("33x33 CSV grid, 1e5 agents, 2D", GridField((nodes, nodes), bumps), 1e-5,
+        ("33x33 CSV grid, 1e5 agents, 2D", *zero_drift(grid_field, 1e-5),
          SimConfig(100_000, 2e5, 4e6, 12, (4e6,), gaussian)),
-        ("sine, 1e4 agents, 1D", sine_field(), 0.5,
+        ("sine, 1e4 agents, 1D", *zero_drift(sine, 0.5),
          SimConfig(10_000, 2e-3, 0.4, 13, (0.4,), UniformInit())),
+        ("drift c2 = 0.1, two-bump, 1e5 agents, 2D", two_bump,
+         diffusion_coverage_law(two_bump, 0.05, 0.1), None,
+         SimConfig(100_000, 1e-3, 0.02, 14, (0.02,), gaussian)),
+        ("reaction, two-bump, 1e5 agents, 2D", two_bump,
+         reaction_coverage_law(two_bump, 0.05, 100.0, 50.0), None,
+         SimConfig(100_000, 1e-3, 0.02, 15, (0.02,), gaussian)),
     ]
-    print(f"{'simulate, zero drift':<55} {'per step':>10} {'faults/step':>12}")
-    for label, field, c1, config in runs:
+    print(f"{'simulate':<64} {'per step':>10} {'faults/step':>12} {'traced peak':>12}")
+    for label, field, laws, D, config in runs:
         steps = round(config.t_end / config.dt)
-        laws = diffusion_coverage_law(field, c1)
+        domain = field.domain
         finals = {}
         for name, fn in (
-            ("simulate", lambda: simulate(config, laws, field.domain)[-1].positions),
-            ("reference", lambda: reference_simulate(config, field, c1, field.domain)),
+            ("simulate", lambda: (lambda s: (s.positions, s.modes))(
+                simulate(config, laws, domain)[-1])),
+            ("reference", lambda: reference_simulate(config, laws, domain, D)),
         ):
-            finals[name] = np.ascontiguousarray(fn())  # also the warm-up
+            finals[name] = [np.ascontiguousarray(a).tobytes() for a in fn()]  # also the warm-up
             samples, faults = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 fn()
                 samples.append(time.perf_counter() - t0)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            print(f"{f'{name}, {label}, {steps} steps':<55} "
-                  f"{np.median(samples) / steps * 1e3:>8.3f}ms {faults / (repeats * steps):>12.1f}")
-        if finals["simulate"].tobytes() != finals["reference"].tobytes():
+            print(f"{f'{name}, {label}, {steps} steps':<64} "
+                  f"{np.median(samples) / steps * 1e3:>8.3f}ms {faults / (repeats * steps):>12.1f}"
+                  f" {traced_peak_mb(fn):>10.2f}MB")
+        if finals["simulate"] != finals["reference"]:
             raise SystemExit(f"simulate ({label}) differs from the reference stepping")
-    print("simulate: final positions identical to the reference stepping, bit for bit")
+    print("simulate: final positions and modes identical to the reference stepping, bit for bit")
+
+
+def cli_peaks(tmp: str) -> None:
+    """tracemalloc's peak over whole CLI calls shaped like the agents
+    benchmark's: coverage on the two-bump and a 33x33 CSV grid field (1e5
+    agents, 20 steps, 3 snapshots, 20x20 bins) and the est_sin protocol at
+    1e4 agents (1000 coverage steps, 25 observation times)."""
+    nodes = np.linspace(0.0, 1.0, 33)
+    gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
+    save_field_csv(GridField((nodes, nodes), 1.01 + np.sin(3 * gx) * np.cos(2 * gy)),
+                   os.path.join(tmp, "grid.csv"))
+    coverage = """[field]
+{field}
+dim = 2
+
+[law]
+family = diffusion
+c1 = 1e-5
+
+[simulation]
+agents = 100000
+dt = 2e5
+t_end = 4e6
+seed = 5
+snapshots = 0, 2e6, 4e6
+init = gaussian:0.5,0.5,0.1
+
+[output]
+bins = 20
+"""
+    protocol = """[field]
+kind = sine
+dim = 1
+
+[protocol]
+c1 = 0.5
+d = 0.005
+t1 = 2.0
+t2 = 52.0
+agents = 10000
+dt_coverage = 2e-3
+n_obs = 25
+seed = 5
+
+[window]
+lo = 0.7
+hi = 1.0
+divisor = 100
+
+[inverse]
+lam = 0.1
+basis = 10
+cells = 100
+"""
+    calls = [
+        ("coverage, two-bump, 1e5 agents", "coverage",
+         coverage.format(field="kind = two_bump")),
+        ("coverage, 33x33 CSV grid, 1e5 agents", "coverage",
+         coverage.format(field="kind = csv\npath = grid.csv")),
+        ("estimate, est_sin protocol, 1e4 agents", "estimate", protocol),
+    ]
+    print(f"{'CLI call':<64} {'wall':>10} {'traced peak':>12}")
+    for label, sub, text in calls:
+        config = os.path.join(tmp, f"{sub}.cfg")
+        with open(config, "w") as fh:
+            fh.write(text)
+        argv = [sub, "--config", config, "--out", os.path.join(tmp, "out", sub)]
+        t0 = time.perf_counter()
+        if cli.main(argv) != 0:
+            raise SystemExit(f"{label} failed")
+        wall = time.perf_counter() - t0
+        print(f"{label:<64} {wall * 1e3:>8.1f}ms {traced_peak_mb(lambda: cli.main(argv)):>10.2f}MB")
 
 
 def main() -> None:
@@ -258,6 +381,8 @@ def main() -> None:
     # the simulate rows run first, before the other rows' inputs exist: the
     # allocator's history decides when freed heap goes back to the system
     simulate_rows(args.repeats)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_peaks(tmp)
 
     rng = np.random.default_rng(0)
     n, d = args.agents, 2

@@ -38,6 +38,7 @@ from .sde import (
     SwarmState,
     UniformInit,
     histogram,
+    iter_snapshots,
     reflect,
     simulate,
     snapshots_to_csv,

@@ -43,7 +43,7 @@ from .sde import (
     SimConfig,
     histogram,
     histogram_series_to_csv,
-    simulate,
+    iter_snapshots,
     tv_distance,
 )
 
@@ -109,11 +109,10 @@ def cmd_coverage(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> Non
         snapshot_times=snapshots,
         initial=build_init(sim["init"], field.domain.dim),
     )
-    states = simulate(config, laws, field.domain)
-
     grid = Grid(field.domain, (outputs["bins"],) * field.domain.dim)
     reference = _field_reference(field, grid)
-    entries = [(s.time, histogram(s, grid)) for s in states]
+    # each snapshot is binned as it is taken, and no copy of the swarm is kept
+    entries = [(s.time, histogram(s, grid)) for s in iter_snapshots(config, laws, field.domain)]
     times = [t for t, _ in entries]
     tvs = [tv_distance(h, reference) for _, h in entries]
     histogram_series_to_csv(entries, os.path.join(out, "histograms.csv"))

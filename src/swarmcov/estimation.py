@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from ._csv import centers_to_axis, read_csv, write_csv
 from .errors import DegenerateFitError, NumericError
 from .fields import ScalarField, constant_diffusion_law, diffusion_coverage_law
 from .grids import Domain, Grid, GridFunction
-from .sde import SimConfig, SwarmState, UniformInit, simulate
+from .sde import SimConfig, SwarmState, UniformInit, iter_snapshots, simulate
 
 __all__ = [
     "Partition",
@@ -157,16 +157,18 @@ def _count_in_cells(x: np.ndarray, partition: Partition) -> np.ndarray:
     return (upper - np.searchsorted(xs, lo)).astype(float)
 
 
-def observe(snapshots: Sequence[SwarmState], partition: Partition) -> ObservationSeries:
-    """Bin each snapshot into the partition as fractions of the whole swarm."""
-    if not snapshots:
+def observe(snapshots: Iterable[SwarmState], partition: Partition) -> ObservationSeries:
+    """Bin each snapshot into the partition as fractions of the whole swarm.
+
+    The snapshots are counted one at a time as they come, so they may be the
+    live states ``iter_snapshots`` yields."""
+    times, fractions = [], []
+    for snap in snapshots:
+        times.append(snap.time)
+        fractions.append(_count_in_cells(snap.positions[:, 0], partition) / snap.n_agents)
+    if not times:
         raise ValueError("no snapshots to observe")
-    times = np.array([s.time for s in snapshots])
-    n = snapshots[0].n_agents
-    fractions = np.empty((len(snapshots), partition.n_cells))
-    for k, snap in enumerate(snapshots):
-        fractions[k] = _count_in_cells(snap.positions[:, 0], partition) / n
-    return ObservationSeries(times, fractions, n, partition)
+    return ObservationSeries(np.array(times), np.array(fractions), snap.n_agents, partition)
 
 
 def _check_settings(grid_cells: int, basis_size: int, d: float, lam: float) -> None:
@@ -445,13 +447,16 @@ def run_protocol(
     The dispersion phase uses one simulation step per observation interval:
     with a constant diffusion coefficient the reflected Gaussian increment
     samples the exact transition law, so no finer stepping is needed.  The
-    returned estimate is normalized to unit mass.  n_obs, the window (inside
-    the field's 1D domain) and the inverse-solve settings are checked before
-    the swarm runs.
+    returned estimate is normalized to unit mass.  n_obs, T1 < T2, the window
+    (inside the field's 1D domain) and the inverse-solve settings are checked
+    before the swarm runs.  Each dispersion snapshot is counted into the
+    window cells as it is taken.
     """
     _check_settings(grid_cells, basis_size, d, lam)
     if n_obs < 1:
         raise ValueError("need at least one observation time")
+    if not T1 < T2:
+        raise ValueError("need T1 < T2")
     domain = field.domain
     _check_domain(domain, partition.window)
     laws_cov = diffusion_coverage_law(field, coverage_gain)
@@ -474,7 +479,7 @@ def run_protocol(
         seed=seed,
         snapshot_times=tuple(delta * k for k in range(1, n_obs + 1)),
     )
-    snaps = simulate(
+    snaps = iter_snapshots(
         cfg2,
         constant_diffusion_law(np.sqrt(d)),
         domain,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "PointInit",
     "SimConfig",
     "reflect",
+    "iter_snapshots",
     "simulate",
     "histogram",
     "tv_distance",
@@ -147,33 +148,62 @@ def reflect(x, domain: Domain):
     return out
 
 
+def _rows_outside(pts: np.ndarray, domain: Domain) -> np.ndarray:
+    """Indices of the rows of pts with a coordinate outside the domain (NaN
+    included).  Each column's min and max are tested first, so a batch that
+    lies inside builds no mask."""
+    if all(
+        pts[:, j].min() >= lo and pts[:, j].max() <= hi
+        for j, (lo, hi) in enumerate(domain.extents)
+    ):
+        return np.empty(0, dtype=np.intp)
+    ok = (pts >= domain.lo).all(axis=1) & (pts <= domain.hi).all(axis=1)
+    return np.flatnonzero(~ok)
+
+
+def _gaussian_draw(rng, center, sigma: float, n: int) -> np.ndarray:
+    # in place: sigma * z + center, the bits of center + sigma * z
+    draw = rng.standard_normal((n, center.shape[0]))
+    draw *= sigma
+    draw += center
+    return draw
+
+
 def _initial_positions(config: SimConfig, domain: Domain) -> np.ndarray:
+    """The swarm's starting positions, column-major (n, d)."""
     rng = _stream(config.seed, _INIT_TAG)
     n, d = config.n_agents, domain.dim
     init = config.initial
     if isinstance(init, UniformInit):
-        u = rng.random((n, d))
-        return domain.lo + u * (domain.hi - domain.lo)
+        # in place: u * span + lo, the bits of lo + u * span
+        pos = rng.random((n, d))
+        pos *= domain.hi - domain.lo
+        pos += domain.lo
+        return np.asfortranarray(pos)
     if isinstance(init, PointInit):
         p = np.asarray(init.position, dtype=float)
         if p.shape != (d,) or not domain.contains(p.reshape(1, -1))[0]:
             raise ConfigError(f"point initial condition {init.position} invalid for domain")
-        return np.tile(p, (n, 1))
+        pos = np.empty((n, d), order="F")
+        pos[...] = p
+        return pos
     if isinstance(init, GaussianInit):
         center = np.asarray(init.center, dtype=float)
         if center.shape != (d,):
             raise ConfigError("gaussian center dimension mismatch")
         if init.sigma <= 0:
             raise ConfigError("gaussian sigma must be positive")
-        pos = np.empty((n, d))
-        pending = np.arange(n)
-        # redraw until every sample lands inside the domain
+        pos = _gaussian_draw(rng, center, init.sigma, n)
+        pending = _rows_outside(pos, domain)
+        # redraw the rows outside until every sample lands inside the domain
         while pending.size:
-            draw = center + init.sigma * rng.standard_normal((pending.size, d))
-            ok = (draw >= domain.lo).all(axis=1) & (draw <= domain.hi).all(axis=1)
+            draw = _gaussian_draw(rng, center, init.sigma, pending.size)
+            bad = _rows_outside(draw, domain)
+            ok = np.ones(pending.size, dtype=bool)
+            ok[bad] = False
             pos[pending[ok]] = draw[ok]
-            pending = pending[~ok]
-        return pos
+            pending = pending[bad]
+        return np.asfortranarray(pos)
     raise ConfigError(f"unknown initial distribution {init!r}")
 
 
@@ -182,27 +212,33 @@ def _probe_max(fn, domain: Domain, resolution: int = 128) -> float:
     return float(np.max(fn(grid.center_points())))
 
 
-def simulate(
+def iter_snapshots(
     config: SimConfig,
     laws: ControlLaws,
     domain: Domain,
     initial_state: Optional[SwarmState] = None,
     step_offset: int = 0,
-) -> list[SwarmState]:
-    """Run the swarm and return snapshots at the requested times.
+) -> Iterator[SwarmState]:
+    """Run the swarm, yielding its live state at each snapshot step.
 
     Snapshots are taken at the nearest step time >= each requested time.
     ``initial_state``/``step_offset`` allow continuing a previous run under
-    new laws without reusing any random-stream keys.
+    new laws without reusing any random-stream keys.  The config and laws
+    are checked, and the initial positions drawn, when this is called; the
+    steps run as the result is iterated.
 
-    Buffers: the run owns the swarm (``positions``, ``modes``), its spare
-    position buffer and the draw buffers, each allocated once.  Each step
-    draws into the draw buffers with ``out=``, and hands the step kernel the
-    spare buffer as ``out=``: an active step writes the new positions there
-    and the run swaps it with ``positions``; a switching step uses it as
-    scratch and updates ``positions`` and ``modes`` in place.  The law
-    outputs (D, drift, H) are new arrays each step, only read by the kernel.
-    Snapshots are C-ordered copies, never views of a buffer.
+    A yielded state holds views of the run's own buffers (positions
+    column-major): use or copy it before asking for the next one, which
+    overwrites it.  ``simulate`` keeps copies.
+
+    Buffers: the run owns the swarm (``positions``, ``modes``) and the draw
+    buffers, each allocated once.  Each step draws the whole swarm's normals,
+    and its uniforms when switching, into the draw buffers with ``out=``, in
+    stream order.  It then evaluates the laws (D, drift, H) and the step
+    kernel over blocks of ``_sde_kernels.BLOCK`` agents and writes each block
+    back into its rows of the swarm: an active block in place, a switching
+    block through one block-sized scratch buffer.  So every law output and
+    kernel temporary is block-sized, whatever the swarm.
     """
     dt = config.dt
     if laws.k * dt >= 1.0:
@@ -222,44 +258,60 @@ def simulate(
         if positions.shape != (config.n_agents, domain.dim):
             raise ConfigError("initial state does not match agent count / dimension")
     else:
-        positions = np.asfortranarray(_initial_positions(config, domain))
+        positions = _initial_positions(config, domain)
         modes = np.ones(config.n_agents, dtype=np.uint8)
         t0 = 0.0
 
     n_steps = int(np.ceil(config.t_end / dt - 1e-9)) if config.t_end > 0 else 0
     snap_at = set(snapshot_steps(config.snapshot_times, dt, n_steps))
     switching = switching or bool((modes == 0).any())
-
-    lo, hi = domain.lo, domain.hi
+    lo, hi, k = domain.lo, domain.hi, laws.k
     n, d = config.n_agents, domain.dim
-    # C order: standard_normal(out=) and random(out=) fill them in the order
-    # standard_normal((n, d)) and random((n, 2)) would
-    noise = np.empty((n, d))
-    unif = np.empty((n, 2)) if switching else None
-    spare = np.empty((n, d), order="F")
-    out: list[SwarmState] = []
+    block = _sk.BLOCK
 
-    def record(step: int):
-        if step in snap_at:
-            out.append(SwarmState(t0 + step * dt, positions.copy(), modes.copy()))
+    def steps() -> Iterator[SwarmState]:
+        # C order: standard_normal(out=) and random(out=) fill them in the
+        # order standard_normal((n, d)) and random((n, 2)) would
+        noise = np.empty((n, d))
+        unif = np.empty((n, 2)) if switching else None
+        scratch = np.empty((min(n, block), d), order="F") if switching else None
+        if 0 in snap_at:
+            yield SwarmState(t0, positions, modes)
+        for step in range(1, n_steps + 1):
+            rng = _stream(config.seed, step_offset + step)
+            rng.standard_normal(out=noise)
+            if switching:
+                rng.random(out=unif)
+            for start in range(0, n, block):
+                rows = slice(start, start + block)
+                pos = positions[rows]  # a view: the block is stepped in place
+                D = laws.D_at(pos)
+                drift = None if laws.a is None else laws.a_at(pos)
+                if switching:
+                    _sk.step_switching(pos, modes[rows], D, drift, laws.H_at(pos), k, dt,
+                                       noise[rows], unif[rows], lo, hi,
+                                       out=scratch[: pos.shape[0]])
+                else:
+                    _sk.step_active(pos, D, drift, dt, noise[rows], lo, hi, out=pos)
+            if step in snap_at:
+                yield SwarmState(t0 + step * dt, positions, modes)
 
-    record(0)
-    for step in range(1, n_steps + 1):
-        rng = _stream(config.seed, step_offset + step)
-        rng.standard_normal(out=noise)
-        D = laws.D_at(positions)
-        drift = None if laws.a is None else laws.a_at(positions)
-        if switching:
-            rng.random(out=unif)
-            H = laws.H_at(positions)
-            _sk.step_switching(
-                positions, modes, D, drift, H, laws.k, dt, noise, unif, lo, hi, out=spare
-            )
-        else:
-            moved = _sk.step_active(positions, D, drift, dt, noise, lo, hi, out=spare)
-            positions, spare = moved, positions
-        record(step)
-    return out
+    return steps()
+
+
+def simulate(
+    config: SimConfig,
+    laws: ControlLaws,
+    domain: Domain,
+    initial_state: Optional[SwarmState] = None,
+    step_offset: int = 0,
+) -> list[SwarmState]:
+    """Run the swarm and return snapshots at the requested times: C-ordered
+    copies of what ``iter_snapshots`` yields (see there)."""
+    return [
+        SwarmState(s.time, s.positions.copy(), s.modes.copy())
+        for s in iter_snapshots(config, laws, domain, initial_state, step_offset)
+    ]
 
 
 def histogram(state: Union[SwarmState, np.ndarray], grid: Grid) -> GridFunction:
@@ -267,9 +319,7 @@ def histogram(state: Union[SwarmState, np.ndarray], grid: Grid) -> GridFunction:
     positions = state.positions if isinstance(state, SwarmState) else np.asarray(state, float)
     if positions.ndim == 1:
         positions = positions.reshape(-1, 1)
-    counts = _sk.bin_counts(
-        np.ascontiguousarray(positions), grid.domain.lo, grid.domain.hi, grid.shape
-    )
+    counts = _sk.bin_counts(positions, grid.domain.lo, grid.domain.hi, grid.shape)
     dens = counts.astype(float) / (positions.shape[0] * grid.cell_volume)
     return GridFunction(grid, dens)
 

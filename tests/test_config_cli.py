@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from swarmcov import ConfigError, Grid, GridFunction, NumericError, sine_field
+from swarmcov import _sde_kernels as sk
+from swarmcov import cli, sde
 from swarmcov import estimation as est
 from swarmcov import graphs as gr
 from swarmcov.cli import main
@@ -540,6 +542,9 @@ def _run_estimate(tmp_path, text, edits=()):
                      id="max_iters-zero"),
         pytest.param(PROTOCOL_CONFIG, None, None, [("d = 0.05", "d = -0.05")], id="protocol-d-negative"),
         pytest.param(PROTOCOL_CONFIG, None, None, [("n_obs = 2", "n_obs = 0")], id="protocol-n_obs-zero"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("t2 = 0.11", "t2 = 0.01")], id="protocol-t2-is-t1"),
+        pytest.param(PROTOCOL_CONFIG, None, None, [("t2 = 0.11", "t2 = 0.005")],
+                     id="protocol-t2-before-t1"),
         pytest.param(PROTOCOL_CONFIG, None, None, [("hi = 1.0", "hi = 0.7")], id="protocol-empty-window"),
         pytest.param(PROTOCOL_CONFIG, None, None, [("divisor = 10", "divisor = 0")],
                      id="protocol-divisor-zero"),
@@ -574,6 +579,39 @@ def test_cli_exit_two_on_bad_estimate_input(tmp_path, capsys, monkeypatch, confi
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not any((tmp_path / "out").iterdir())
+
+
+def _same_files(a, b):
+    assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in os.listdir(a):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# each run steps 2 * BLOCK + 3 agents, so three blocks per step and per histogram
+
+
+@pytest.mark.parametrize("field", ["kind = sine", "kind = two_bump\ndim = 2"])
+def test_streamed_coverage_writes_the_bytes_of_simulate_copies(tmp_path, monkeypatch, field):
+    text = (MINIMAL_COVERAGE.replace("kind = sine", field)
+            .replace("c1 = 0.1", "c1 = 0.1\nc2 = 0.05")
+            .replace("agents = 50", f"agents = {2 * sk.BLOCK + 3}")
+            .replace("seed = 3", "seed = 3\nsnapshots = 0, 0.02, 0.05"))
+    streamed, copied = tmp_path / "streamed", tmp_path / "copied"
+    assert main(["coverage", "--config", _write(tmp_path, text, out=str(streamed))]) == 0
+    # the same run, binning the C-ordered copies simulate returns
+    monkeypatch.setattr(cli, "iter_snapshots", lambda *args: iter(sde.simulate(*args)))
+    assert main(["coverage", "--config", _write(tmp_path, text, out=str(copied))]) == 0
+    _same_files(streamed, copied)
+
+
+def test_streamed_protocol_writes_the_bytes_of_simulate_copies(tmp_path, monkeypatch):
+    text = PROTOCOL_CONFIG.replace("agents = 50", f"agents = {2 * sk.BLOCK + 3}")
+    streamed, copied = tmp_path / "streamed", tmp_path / "copied"
+    assert main(["estimate", "--config", _write(tmp_path, text, out=str(streamed))]) == 0
+    # the same run, observing the C-ordered copies simulate returns
+    monkeypatch.setattr(est, "iter_snapshots", sde.simulate)
+    assert main(["estimate", "--config", _write(tmp_path, text, out=str(copied))]) == 0
+    _same_files(streamed, copied)
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from swarmcov import (
     window_partition,
 )
 from swarmcov import estimation as est
+from swarmcov import sde
 
 UNIT = Domain.unit_interval()
 
@@ -500,6 +501,17 @@ def test_protocol_flat_field_recovers_uniform():
     u = res.estimate.u_hat
     uniform = GridFunction(u.grid, np.ones(u.grid.shape))
     assert tv_distance(u, uniform) <= 0.1
+
+
+@pytest.mark.parametrize("T2", [0.3, 0.2, float("nan")])
+def test_protocol_rejects_t2_not_after_t1_before_any_draw(monkeypatch, T2):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("T2 <= T1 must be rejected before the swarm runs")
+
+    monkeypatch.setattr(sde, "_stream", unreachable)
+    with pytest.raises(ValueError, match="T1 < T2"):
+        run_protocol(sine_field(), coverage_gain=0.5, d=0.05, T1=0.3, T2=T2, n_agents=50,
+                     partition=window_partition((0.7, 1.0), 10), seed=1, dt_coverage=1e-3)
 
 
 def test_protocol_deterministic_given_seed():

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swarmcov import _sde_kernels as sk
+from swarmcov import sde
 from swarmcov import (
     ConfigError,
     Domain,
@@ -16,6 +20,7 @@ from swarmcov import (
     constant_diffusion_law,
     diffusion_coverage_law,
     histogram,
+    iter_snapshots,
     reaction_coverage_law,
     reflect,
     simulate,
@@ -214,8 +219,8 @@ def test_step_offset_resumes_stream():
 
 @pytest.mark.parametrize("family", ["diffusion", "reaction"])
 def test_every_step_snapshot_equals_a_run_stopped_there(family):
-    # the run hands its step kernel a spare buffer and swaps it with the
-    # swarm: no snapshot may alias a buffer a later step writes into
+    # the run steps its own buffers in place: no snapshot simulate returns
+    # may alias a buffer a later step writes into
     field = two_bump_field()
     laws = (diffusion_coverage_law(field, 0.05, 0.1) if family == "diffusion"
             else reaction_coverage_law(field, 0.05, 1.0, 2.0))
@@ -227,6 +232,124 @@ def test_every_step_snapshot_equals_a_run_stopped_there(family):
         stopped = simulate(SimConfig(50, dt, s * dt, 5, (s * dt,)), laws, SQUARE)[-1]
         assert every[s].positions.tobytes() == stopped.positions.tobytes()
         assert every[s].modes.tobytes() == stopped.modes.tobytes()
+
+
+def test_iter_snapshots_yields_live_states_simulate_copies():
+    laws = reaction_coverage_law(two_bump_field(), 0.05, 1.0, 2.0)
+    config = SimConfig(60, 1e-3, 4e-3, 9, (0.0, 2e-3, 4e-3))
+    copies = simulate(config, laws, SQUARE)
+    live = iter_snapshots(config, laws, SQUARE)
+    for want in copies:
+        got = next(live)
+        assert got.time == want.time
+        assert got.positions.tobytes(order="C") == want.positions.tobytes()
+        assert got.modes.tobytes() == want.modes.tobytes()
+    assert next(live, None) is None
+
+
+def test_iter_snapshots_checks_before_it_is_iterated():
+    laws = reaction_coverage_law(two_bump_field(), 0.05, 1.0, 2.0)
+    with pytest.raises(ConfigError, match="dt\\*k"):
+        iter_snapshots(SimConfig(10, 0.5, 1.0, 1), laws, SQUARE)
+
+
+# ---------------------------------------------------------------------------
+# blocked stepping: each step draws the whole swarm's noise, then steps the
+# swarm in blocks of sk.BLOCK agents; every bit must be the one a single
+# block over the whole swarm gives
+
+
+def _blocked_run(case, n, dim):
+    """Snapshots of a 3-step run; for "resumed", those of a 3-step reaction
+    run followed by those of a drift run resumed from its last state."""
+    field = sine_field() if dim == 1 else two_bump_field()
+    domain = field.domain
+    init = GaussianInit((0.5,) * dim, 0.3)
+    config = SimConfig(n, 1e-3, 3e-3, 17, (0.0, 1e-3, 3e-3), init)
+    drift = diffusion_coverage_law(field, 0.05, 0.1)
+    if case == "drift":
+        return simulate(config, drift, domain)
+    if case == "switching":
+        return simulate(config, reaction_coverage_law(field, 0.05, 50.0, 100.0), domain)
+    # stopped agents make the drift run switch, with a zero stop rate
+    head = simulate(config, reaction_coverage_law(field, 0.05, 50.0, 100.0), domain)
+    return head + simulate(config, drift, domain, initial_state=head[-1], step_offset=3)
+
+
+def _same_snapshots(a, b):
+    assert len(a) == len(b)
+    for sa, sb in zip(a, b):
+        assert sa.time == sb.time
+        assert sa.positions.tobytes() == sb.positions.tobytes()
+        assert sa.modes.tobytes() == sb.modes.tobytes()
+
+
+@pytest.mark.parametrize("case", ["drift", "switching", "resumed"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [sk.BLOCK - 1, sk.BLOCK, sk.BLOCK + 1, 2 * sk.BLOCK + 3])
+def test_blocked_stepping_equals_whole_swarm_stepping(monkeypatch, case, dim, n):
+    blocked = _blocked_run(case, n, dim)
+    if case == "resumed":
+        assert (blocked[2].modes == 0).any()  # the resumed run switches
+    monkeypatch.setattr(sk, "BLOCK", n)  # one block: the whole swarm at once
+    _same_snapshots(blocked, _blocked_run(case, n, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["drift", "switching", "resumed"]), st.integers(1, 2),
+       st.integers(1, 60), st.integers(1, 70))
+def test_any_block_size_steps_and_bins_the_same_bits(case, dim, n, block):
+    whole = _blocked_run(case, n, dim)
+    grid = Grid(SQUARE if dim == 2 else UNIT, (7,) * dim)
+    saved = sk.BLOCK
+    sk.BLOCK = block
+    try:
+        _same_snapshots(_blocked_run(case, n, dim), whole)
+        for snap in whole:
+            # bin_counts takes any layout: C order here, column-major in a run
+            for layout in (snap.positions, np.asfortranarray(snap.positions)):
+                assert histogram(layout, grid).values.tobytes() == (
+                    np.bincount(_cell_index(snap.positions, grid), minlength=7**dim)
+                    / (n * grid.cell_volume)).tobytes()
+    finally:
+        sk.BLOCK = saved
+
+
+def _cell_index(pos, grid):
+    # the flat cell of each point, boundary points in the interior cell
+    flat = np.zeros(pos.shape[0], dtype=np.int64)
+    for j, (lo, hi) in enumerate(grid.domain.extents):
+        nj = grid.shape[j]
+        idx = np.clip(np.floor((pos[:, j] - lo) / ((hi - lo) / nj)).astype(np.int64), 0, nj - 1)
+        flat = flat * nj + idx
+    return flat
+
+
+def _gaussian_reference(config, domain):
+    """The redraw loop _initial_positions replaced: every draw masked and
+    copied, rows outside redrawn."""
+    rng = sde._stream(config.seed, sde._INIT_TAG)
+    init = config.initial
+    center = np.asarray(init.center, dtype=float)
+    pos = np.empty((config.n_agents, domain.dim))
+    pending = np.arange(config.n_agents)
+    while pending.size:
+        draw = center + init.sigma * rng.standard_normal((pending.size, domain.dim))
+        ok = (draw >= domain.lo).all(axis=1) & (draw <= domain.hi).all(axis=1)
+        pos[pending[ok]] = draw[ok]
+        pending = pending[~ok]
+    return pos
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 300), st.integers(0, 2**64 - 1),
+       st.floats(0.0, 1.0), st.floats(1e-3, 3.0))
+def test_gaussian_init_draws_the_same_bits(dim, n, seed, at, sigma):
+    domain = SQUARE if dim == 2 else UNIT
+    config = SimConfig(n, 0.1, 0.0, seed, (), GaussianInit((at,) * dim, sigma))
+    got = sde._initial_positions(config, domain)
+    assert got.flags.f_contiguous
+    assert np.ascontiguousarray(got).tobytes() == _gaussian_reference(config, domain).tobytes()
 
 
 # ---------------------------------------------------------------------------
