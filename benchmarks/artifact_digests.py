@@ -6,8 +6,12 @@ pde configs that march rather than take the 1D closed form (2D diffusion on
 the two-bump field, 1D diffusion with drift, 1D stop/go reaction) and five
 coverage configs for the agent-step branches the bundled ones leave out
 (drift on the 1D sine, 2D two-bump and 2D CSV fields, which interpolates
-the gradient; stop/go switching in 1D and 2D) against the source tree given
-by --src, one run at a time, each writing to its own directory under --out.  Prints one "sha256  run/file" line per artifact,
+the gradient; stop/go switching in 1D and 2D) and three graph configs for the
+sampler's stops the bundled one leaves out (a 50-vertex random graph whose
+finite t_end cuts the chain in its third batch, the same graph with a jump
+cap that ends it first, and a one-vertex graph with a finite t_end) against
+the source tree given by --src, one run at a time, each writing to its own
+directory under --out.  Prints one "sha256  run/file" line per artifact,
 sorted by file.  Run it on two source trees and diff the lists: a change that
 keeps every artifact byte for byte prints the same list.
 
@@ -76,6 +80,54 @@ k = 1.0
 [solver]
 cells = 100
 t_end = 1.0
+""",
+}
+
+# a 50-vertex, 99-edge random graph with exponent -1, as the solvers
+# benchmark's graph_random, sampled to a finite t_end
+_RANDOM_GRAPH = """
+[graph]
+kind = random
+n = 50
+extra_edges = 50
+seed = 18
+
+[rates]
+c = 1.0
+exponent = -1
+values = 1.099, 1.576, 0.921, 0.624, 1.955, 1.346, 1.466, 1.365, 1.213, 0.684,
+    0.97, 1.604, 1.861, 1.833, 1.922, 0.538, 1.607, 1.509, 1.438, 1.456,
+    0.689, 1.439, 1.681, 0.511, 1.882, 0.696, 1.064, 1.326, 1.412, 1.324,
+    1.082, 1.82, 1.095, 1.81, 0.995, 1.439, 1.775, 0.68, 0.756, 1.592,
+    0.689, 0.526, 0.786, 1.092, 1.554, 1.55, 0.821, 0.837, 0.578, 0.534
+
+[propagate]
+p0 = vertex:0
+times = 0.1, 0.5, 1.0, 2.0
+
+[sample]
+start = 0
+seed = 29
+t_end = 50000
+"""
+
+SAMPLING = {
+    # t_end stops the chain at its 162,923rd jump, in the third batch of 65,536
+    "graph_random_t_end": _RANDOM_GRAPH,
+    # the jump cap ends the path at t = 46023, short of t_end
+    "graph_random_both_caps": _RANDOM_GRAPH + "max_jumps = 150000\n",
+    "graph_one_vertex": """
+[graph]
+kind = path
+n = 1
+
+[rates]
+c = 1.0
+values = 2.0
+
+[sample]
+seed = 3
+t_end = 2.5
 """,
 }
 
@@ -210,7 +262,7 @@ def main() -> None:
 
     configs = os.path.join(src, "swarmcov", "configs")
     runs = [(name, sub, os.path.join(configs, name + ".cfg")) for name, sub in BUNDLED.items()]
-    for sub, written in (("pde", MARCHING), ("coverage", COVERING)):
+    for sub, written in (("pde", MARCHING), ("coverage", COVERING), ("graph", SAMPLING)):
         for name, text in written.items():
             path = os.path.join(out, name + ".cfg")
             with open(path, "w") as fh:

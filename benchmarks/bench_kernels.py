@@ -46,7 +46,13 @@ the allocating step and reflection, and the stop/go switch applied by masks.
 The final positions and modes must match the reference's bit for bit.
 The CLI rows print tracemalloc's peak over whole coverage and estimate calls
 shaped like the agents benchmark's (1e5 agents on the two-bump and a CSV grid
-field with three snapshots; the est_sin protocol at 1e4 agents).
+field with three snapshots; the est_sin protocol at 1e4 agents), and over a
+graph call shaped like the solvers benchmark's random graph (50 vertices, 99
+edges, exponent -1, 3e5 jumps), which streams its path into its CSV and its
+occupation.  Beside it runs the sampling half of the same call on the whole
+path, kept here as the reference: sample_ctmc, one weighted bincount over the
+path, and one CSV write.  Its trajectory, occupation and summary rows must be
+the reference's, byte for byte.
 The CSV rows write the 3e5-jump trajectory and three 2D snapshots of 1e5
 agents, the coverage runs' swarm size, with write_csv, which formats the
 cells in numpy, and with the chunked % writer it replaced, kept here as the
@@ -72,6 +78,7 @@ from scipy.optimize import nnls
 from swarmcov import _field_kernels as fk
 from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
+from swarmcov._csv import write_csv
 from swarmcov import estimation as est
 from swarmcov import cli
 from swarmcov import graphs as gr
@@ -370,6 +377,81 @@ cells = 100
         print(f"{label:<64} {wall * 1e3:>8.1f}ms {traced_peak_mb(lambda: cli.main(argv)):>10.2f}MB")
 
 
+def whole_path_graph(g, f, exponent, seed, max_jumps, pi, out: str) -> None:
+    """The sampling half of a graph call as the CLI ran it before the stream:
+    the whole path, its occupation by one weighted bincount, one CSV write."""
+    traj = gr.sample_ctmc(g, f, 1.0, 0, np.inf, seed, exponent, max_jumps)
+    horizon = traj.times[-1]
+    durations = np.diff(np.append(np.minimum(traj.times, horizon), horizon))
+    occ = np.bincount(traj.vertices, weights=durations, minlength=len(f)) / durations.sum()
+    gr.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
+    write_csv(os.path.join(out, "occupation.csv"), "vertex,occupation", "%d,%.17g",
+              np.arange(len(f)), occ)
+    write_csv(os.path.join(out, "sampled.csv"), "key,value", "%s,%s",
+              ["tv_occupation_vs_pi", "n_jumps"],
+              [f"{0.5 * float(np.abs(occ - pi).sum()):.17g}", str(traj.n_jumps)])
+
+
+def graph_peaks(tmp: str) -> None:
+    """tracemalloc's peak over a whole graph call shaped like the solvers
+    benchmark's graph_random (50 vertices, 99 edges, exponent -1, 3e5 jumps,
+    propagation to 4 times), beside the whole-path reference's; the call's
+    trajectory, occupation and sampled summary rows must be the reference's."""
+    g = gr.random_connected_graph(50, 50, np.random.default_rng(4))
+    f = np.random.default_rng(5).uniform(0.5, 2.0, 50)
+    seed, jumps = 11, 300_000
+    config = os.path.join(tmp, "graph.cfg")
+    with open(config, "w") as fh:
+        fh.write(f"""[graph]
+kind = random
+n = 50
+extra_edges = 50
+seed = 4
+
+[rates]
+c = 1.0
+exponent = -1
+values = {", ".join(repr(float(v)) for v in f)}
+
+[propagate]
+p0 = vertex:0
+times = 0.1, 0.5, 1.0, 2.0
+
+[sample]
+seed = {seed}
+max_jumps = {jumps}
+""")
+    streamed, whole = os.path.join(tmp, "out", "graph"), os.path.join(tmp, "out", "whole")
+    os.makedirs(whole)
+    argv = ["graph", "--config", config, "--out", streamed]
+    pi = gr.invariant_distribution(g, f, -1)
+    label = f"graph, 50 vertices, 99 edges, {jumps:,} jumps"
+    t0 = time.perf_counter()
+    if cli.main(argv) != 0:
+        raise SystemExit(f"{label} failed")
+    wall = time.perf_counter() - t0
+    print(f"{label:<64} {wall * 1e3:>8.1f}ms {traced_peak_mb(lambda: cli.main(argv)):>10.2f}MB")
+
+    def reference():
+        whole_path_graph(g, f, -1, seed, jumps, pi, whole)
+
+    t0 = time.perf_counter()
+    reference()
+    wall = time.perf_counter() - t0
+    print(f"{'  its sampling half, whole path (reference)':<64} {wall * 1e3:>8.1f}ms "
+          f"{traced_peak_mb(reference):>10.2f}MB")
+    for name in ("trajectory.csv", "occupation.csv"):
+        with open(os.path.join(streamed, name), "rb") as got, \
+                open(os.path.join(whole, name), "rb") as want:
+            if got.read() != want.read():
+                raise SystemExit(f"graph {name} differs from the whole-path reference's")
+    with open(os.path.join(streamed, "summary.csv")) as got, \
+            open(os.path.join(whole, "sampled.csv")) as want:
+        if got.read().splitlines()[2:] != want.read().splitlines()[1:]:
+            raise SystemExit("graph summary rows differ from the whole-path reference's")
+    print("graph: trajectory, occupation and summary identical to the whole-path reference")
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--agents", type=int, default=200_000)
@@ -383,6 +465,7 @@ def main() -> None:
     simulate_rows(args.repeats)
     with tempfile.TemporaryDirectory() as tmp:
         cli_peaks(tmp)
+        graph_peaks(tmp)
 
     rng = np.random.default_rng(0)
     n, d = args.agents, 2

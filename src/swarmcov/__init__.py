@@ -49,6 +49,7 @@ from .graphs import (
     Trajectory,
     complete_graph,
     invariant_distribution,
+    iter_ctmc,
     laplacian,
     occupation,
     path_graph,

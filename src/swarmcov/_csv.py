@@ -239,18 +239,28 @@ def write_csv(path, header: str, row_format: str, *columns) -> None:
     ``columns`` are equal-length 1D sequences, one per ``%`` field of
     ``row_format``.
     """
-    columns = [np.asarray(c) for c in columns]
+    write_chunks(path, header, row_format, [columns])
+
+
+def write_chunks(path, header: str, row_format: str, chunks) -> None:
+    """As write_csv, for a table that comes in chunks of rows.
+
+    ``chunks`` is an iterable of column tuples, as write_csv takes them; each
+    chunk is written as it comes, so a stream of rows is never held whole.
+    """
     fields = row_format.split(",")
-    in_numpy = len(fields) == len(columns) and all(
-        (f == _G and c.dtype.kind in "fiu") or (f == _D and c.dtype.kind in "iu")
-        for f, c in zip(fields, columns)
-    )
-    n_rows = len(columns[0])
     with open(path, "wb") as fh:
         fh.write((header + "\n").encode())
-        for lo in range(0, n_rows, _CHUNK_ROWS):
-            chunk = [c[lo:lo + _CHUNK_ROWS] for c in columns]
-            fh.write(_numpy_rows(fields, chunk) if in_numpy else _percent_rows(row_format, chunk))
+        for columns in chunks:
+            columns = [np.asarray(c) for c in columns]
+            in_numpy = len(fields) == len(columns) and all(
+                (f == _G and c.dtype.kind in "fiu") or (f == _D and c.dtype.kind in "iu")
+                for f, c in zip(fields, columns)
+            )
+            for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+                chunk = [c[lo:lo + _CHUNK_ROWS] for c in columns]
+                fh.write(_numpy_rows(fields, chunk) if in_numpy
+                         else _percent_rows(row_format, chunk))
 
 
 def read_csv(path, *headers: str) -> np.ndarray:

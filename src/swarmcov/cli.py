@@ -265,7 +265,8 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
                 raise ConfigError("a one-vertex graph never jumps: sampling needs a finite t_end")
 
     # everything is computed, and so checked by the library, before any
-    # artifact is written
+    # artifact is written; the sampled path, checked when its stream is made,
+    # is drawn as trajectory.csv is written and counted as it goes by
     pi = gr.invariant_distribution(g, f, exponent)
     residual = gr.laplacian(g) @ (c * f ** float(exponent) * pi)
     summary: list[tuple[str, Any]] = [("max_residual", float(np.abs(residual).max()))]
@@ -273,13 +274,11 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
         times = np.asarray(cfg["propagate"]["times"])
         p0 = _build_p0(cfg["propagate"]["p0"], g.n_vertices)
         ps = gr.propagate(g, p0, f, c, times, exponent)
-    occ = None
     if "sample" in cfg:
         run_seed = samp["seed"] if seed is None else seed
-        traj = gr.sample_ctmc(g, f, c, samp["start"], t_end, run_seed, exponent, max_jumps)
-        occ = gr.occupation(traj, g.n_vertices, t_end if np.isfinite(t_end) else None)
-        summary.append(("tv_occupation_vs_pi", 0.5 * float(np.abs(occ - pi).sum())))
-        summary.append(("n_jumps", traj.n_jumps))
+        path = gr.iter_ctmc(g, f, c, samp["start"], t_end, run_seed, exponent, max_jumps)
+        counter = gr.OccupationCounter(g.n_vertices, t_end if np.isfinite(t_end) else None,
+                                       None if max_jumps is None else max_jumps + 1)
 
     vertices = np.arange(g.n_vertices)
     _write_rows(os.path.join(out, "invariant.csv"), "vertex,pi,residual", "%d,%.17g,%.17g",
@@ -288,10 +287,16 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
         columns = np.repeat(times, g.n_vertices), np.tile(vertices, len(times)), ps.ravel()
         _write_rows(os.path.join(out, "propagate.csv"), "t,vertex,probability", "%.17g,%d,%.17g",
                     *columns)
-    if occ is not None:
-        gr.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
+    if "sample" in cfg:
+        gr.trajectory_to_csv(counter.counting(path), os.path.join(out, "trajectory.csv"))
+        occ = counter.fractions()
+        if not np.isfinite(occ).all():
+            # tiny rates make holding times near the float limit, and their sum overflows
+            raise NumericError("sampled jump times overflow to inf: occupation is not finite")
         _write_rows(os.path.join(out, "occupation.csv"), "vertex,occupation", "%d,%.17g",
                     vertices, occ)
+        summary.append(("tv_occupation_vs_pi", 0.5 * float(np.abs(occ - pi).sum())))
+        summary.append(("n_jumps", counter.n_rows - 1))
     _write_summary(os.path.join(out, "summary.csv"), summary)
     if gnuplot:
         lines = [
@@ -301,7 +306,7 @@ def cmd_graph(cfg: dict, out: str, seed: Optional[int], gnuplot: bool) -> None:
             'set ylabel "probability"',
         ]
         plot = 'plot "invariant.csv" using 1:2 with points pt 7'
-        if occ is not None:
+        if "sample" in cfg:
             plot += ', "occupation.csv" using 1:2 with points pt 5'
         _write_gp(os.path.join(out, "graph.gp"), lines + [plot, "pause -1"])
 

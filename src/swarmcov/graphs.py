@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from ._csv import read_csv, write_csv
+from ._csv import read_csv, write_chunks
 
 __all__ = [
     "Graph",
@@ -25,7 +25,9 @@ __all__ = [
     "laplacian",
     "invariant_distribution",
     "propagate",
+    "iter_ctmc",
     "sample_ctmc",
+    "OccupationCounter",
     "occupation",
     "path_graph",
     "complete_graph",
@@ -38,6 +40,7 @@ __all__ = [
 
 _BATCH = 1 << 16  # uniforms drawn per batch, for holding times and choices alike
 _CHAIN_SLICE = 8192  # jumps walked per Python list
+_MAX_RESERVED = 1 << 20  # occupation durations reserved at the first chunk, at most
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,83 @@ def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
     return cuts, rows
 
 
+def iter_ctmc(
+    g: Graph,
+    f,
+    c: float,
+    start: int,
+    t_end: float,
+    seed: int,
+    exponent: int = 1,
+    max_jumps: Optional[int] = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Sample one chain path by the direct (next-event) method, as a stream.
+
+    Checks the arguments when called, then yields the path in order as
+    (times, vertices) chunks: first the start, (0.0, start), then the jumps
+    of each batch.  The chunks are views of the sampler's buffers, valid
+    until the next chunk is drawn.  The path stops at the first jump past
+    t_end or after max_jumps jumps, whichever comes first.
+
+    Uniforms are drawn _BATCH holding times and _BATCH choices at a time.
+    Each choice uniform is binned among the cut points of the choice table in
+    one numpy call, so the vertex chain, the only Python loop, takes two list
+    lookups per jump: the bin's choice in the row of the vertex's degree, then
+    that neighbor.  The holding times and their running sum (sequential, so
+    each jump time is the rounded t + hold of a per-jump loop) are computed
+    in place of their uniforms.
+    """
+    f = _check_field(g, f)
+    e = _check_exponent(exponent)
+    if c <= 0:
+        raise ValueError("rate constant c must be positive")
+    if not 0 <= start < g.n_vertices:
+        raise ValueError("start vertex out of range")
+    if t_end < 0:
+        raise ValueError("t_end must be nonnegative")
+    return _walk(g, c * f**float(e) * g.degrees.astype(float), start, t_end, seed, max_jumps)
+
+
+def _walk(g, rates, start, t_end, seed, max_jumps):
+    yield np.array([0.0]), np.array([start], dtype=np.int64)
+    if g.n_vertices == 1:
+        return
+    nbrs = [a.tolist() for a in g.neighbor_lists()]
+    degrees = g.degrees
+    cuts, rows = _choice_table(np.unique(degrees).tolist())
+    pick = [rows[d] for d in degrees.tolist()]
+    rng = np.random.default_rng(seed)
+    remaining = np.inf if max_jumps is None else int(max_jumps)
+    # path[k] is the vertex held before jump k and path[k + 1] the one it
+    # enters; the walk goes _CHAIN_SLICE jumps at a time to bound its lists
+    path = np.empty(_BATCH + 1, dtype=np.int64)
+    v, t = start, 0.0
+    while remaining > 0:
+        u_hold = rng.random(_BATCH)
+        u_choice = rng.random(_BATCH)
+        cap = _BATCH if remaining > _BATCH else int(remaining)
+        path[0] = v
+        for lo in range(0, cap, _CHAIN_SLICE):
+            hi = min(lo + _CHAIN_SLICE, cap)
+            bins = np.searchsorted(cuts, u_choice[lo:hi], side="right").tolist()
+            path[lo + 1 : hi + 1] = [v := nbrs[v][pick[v][b]] for b in bins]
+        # the holding times, then the jump times, in place of their uniforms;
+        # the first jump time is h + t, which is t + h
+        jump_t = u_hold[:cap]
+        np.log(jump_t, out=jump_t)
+        np.negative(jump_t, out=jump_t)
+        jump_t /= rates[path[:cap]]
+        jump_t[0] += t
+        np.cumsum(jump_t, out=jump_t)
+        past = np.flatnonzero(jump_t > t_end)
+        count = int(past[0]) if past.size else cap
+        yield jump_t[:count], path[1 : count + 1]
+        if past.size:
+            return
+        t = jump_t[-1]
+        remaining -= cap
+
+
 def sample_ctmc(
     g: Graph,
     f,
@@ -218,76 +298,107 @@ def sample_ctmc(
     exponent: int = 1,
     max_jumps: Optional[int] = None,
 ) -> Trajectory:
-    """Sample one chain path by the direct (next-event) method.
+    """Sample one chain path: the chunks of iter_ctmc, joined."""
+    chunks = [(t.copy(), v.copy()) for t, v in iter_ctmc(g, f, c, start, t_end, seed, exponent,
+                                                         max_jumps)]
+    return Trajectory(*(np.concatenate(column) for column in zip(*chunks)))
 
-    Stops at the first jump past t_end or after max_jumps jumps, whichever
-    comes first.  Uniforms are drawn _BATCH holding times and _BATCH choices
-    at a time.  Each choice uniform is binned among the cut points of the
-    choice table in one numpy call, so the vertex chain, the only Python
-    loop, takes two list lookups per jump: the bin's choice in the row of
-    the vertex's degree, then that neighbor.  The holding times and their
-    running sum (sequential, so each jump time is the rounded t + hold of a
-    per-jump loop) are whole-batch numpy expressions.
+
+def _chunks(traj) -> Iterable[tuple[np.ndarray, np.ndarray]]:
+    return [(traj.times, traj.vertices)] if isinstance(traj, Trajectory) else traj
+
+
+class OccupationCounter:
+    """Time spent at each vertex, counted chunk by chunk as a path comes in.
+
+    ``add`` takes the path's (times, vertices) chunks in order; ``fractions``
+    then gives what ``occupation`` of the whole path gives, bit for bit.  Each
+    row's duration, min(next time, horizon) - min(time, horizon), is known
+    once the next row (or the end) comes, and is added to its vertex's time
+    with ``np.add.at`` in path order, the sequence of additions
+    ``np.bincount`` makes over the whole path.  The durations are also kept,
+    in one buffer: numpy sums an array pairwise, so only the sum of the whole
+    array gives the bits the normalizing total has.  With t_end None the
+    horizon is the last time, which must then be the largest, as it is on
+    every sampled path.  ``n_rows`` (the rows expected, if known) sizes the
+    buffer; it grows past that as needed.
     """
-    f = _check_field(g, f)
-    e = _check_exponent(exponent)
-    if c <= 0:
-        raise ValueError("rate constant c must be positive")
-    if not 0 <= start < g.n_vertices:
-        raise ValueError("start vertex out of range")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    if g.n_vertices == 1:
-        return Trajectory(np.array([0.0]), np.array([start], dtype=np.int64))
 
-    nbrs = [a.tolist() for a in g.neighbor_lists()]
-    degrees = g.degrees
-    cuts, rows = _choice_table(np.unique(degrees).tolist())
-    pick = [rows[d] for d in degrees.tolist()]
-    rates = c * f**float(e) * degrees.astype(float)
-    rng = np.random.default_rng(seed)
+    def __init__(self, n_vertices: int, t_end: Optional[float] = None,
+                 n_rows: Optional[int] = None):
+        self.n_rows = 0
+        self._horizon = None if t_end is None else float(t_end)
+        self._freq = np.zeros(n_vertices)
+        self._durations = np.empty(0)
+        self._reserve = min(n_rows or 0, _MAX_RESERVED)
+        self._start = self._last = self._last_vertex = None
 
-    times = [np.array([0.0])]
-    verts = [np.array([start], dtype=np.int64)]
-    v, t = start, 0.0
-    remaining = np.inf if max_jumps is None else int(max_jumps)
-    while remaining > 0:
-        u_hold = rng.random(_BATCH)
-        u_choice = rng.random(_BATCH)
-        cap = _BATCH if remaining > _BATCH else int(remaining)
-        # path[k] is the vertex held before jump k and path[k + 1] the one
-        # it enters; the walk goes _CHAIN_SLICE jumps at a time to bound its lists
-        path = np.empty(cap + 1, dtype=np.int64)
-        path[0] = v
-        for lo in range(0, cap, _CHAIN_SLICE):
-            hi = min(lo + _CHAIN_SLICE, cap)
-            bins = np.searchsorted(cuts, u_choice[lo:hi], side="right").tolist()
-            path[lo + 1 : hi + 1] = [v := nbrs[v][pick[v][b]] for b in bins]
-        jump_t = np.empty(cap + 1)
-        jump_t[0] = t
-        jump_t[1:] = -np.log(u_hold[:cap]) / rates[path[:cap]]
-        np.cumsum(jump_t, out=jump_t)
-        past = np.flatnonzero(jump_t[1:] > t_end)
-        count = int(past[0]) if past.size else cap
-        times.append(jump_t[1 : count + 1])
-        verts.append(path[1 : count + 1])
-        if past.size:
-            break
-        t = jump_t[cap]
-        remaining -= cap
-    return Trajectory(np.concatenate(times), np.concatenate(verts))
+    def add(self, times, vertices) -> None:
+        """Count the next chunk of the path: equal-length times and vertices."""
+        times, vertices = np.asarray(times), np.asarray(vertices)
+        if not len(times):
+            return
+        if self._start is None:
+            self._start = times[0]
+            self._check_horizon()
+        clipped = times if self._horizon is None else np.minimum(times, self._horizon)
+        n, m = self.n_rows, len(times)
+        if n + m > len(self._durations):
+            grown = np.empty(max(n + m, self._reserve, 2 * len(self._durations)))
+            grown[:n] = self._durations[:n]
+            self._durations = grown
+        d = self._durations
+        # row n - 1, the last of the previous chunk, ends where this chunk starts
+        if n:
+            d[n - 1] = clipped[0] - self._last
+            self._freq[self._last_vertex] += d[n - 1]
+        np.subtract(clipped[1:], clipped[:-1], out=d[n : n + m - 1])
+        np.add.at(self._freq, vertices[:-1], d[n : n + m - 1])
+        self._last, self._last_vertex = clipped[-1], vertices[-1]
+        self.n_rows = n + m
+
+    def counting(self, chunks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Count each of the chunks, then pass it on: a path drawn once can
+        feed this counter and a writer."""
+        for times, vertices in chunks:
+            self.add(times, vertices)
+            yield times, vertices
+
+    def _check_horizon(self) -> None:
+        if self._horizon is not None and self._horizon <= self._start:
+            raise ValueError("horizon must exceed the trajectory start time")
+
+    def fractions(self) -> np.ndarray:
+        """The fraction of time spent at each vertex, up to the horizon."""
+        if self._start is None:
+            raise ValueError("occupation needs a path of at least one row")
+        if self._horizon is None:
+            # the last time is the horizon: it clips nothing before it
+            self._horizon = float(self._last)
+            self._check_horizon()
+        n = self.n_rows
+        d = self._durations[:n]
+        d[-1] = self._horizon - self._last  # the last row is clipped already
+        freq = self._freq.copy()
+        freq[self._last_vertex] += d[-1]
+        return freq / d.sum()
 
 
-def occupation(traj: Trajectory, n_vertices: int, t_end: Optional[float] = None) -> np.ndarray:
-    """Fraction of time spent at each vertex (up to t_end or the last jump)."""
-    horizon = float(traj.times[-1]) if t_end is None else float(t_end)
-    if horizon <= traj.times[0]:
-        raise ValueError("horizon must exceed the trajectory start time")
-    t = np.minimum(traj.times, horizon)
-    durations = np.diff(np.append(t, horizon))
-    total = durations.sum()
-    freq = np.bincount(traj.vertices, weights=durations, minlength=n_vertices)
-    return freq / total
+def occupation(traj, n_vertices: int, t_end: Optional[float] = None) -> np.ndarray:
+    """Fraction of time spent at each vertex (up to t_end or the last jump).
+
+    ``traj`` is a Trajectory or its (times, vertices) chunks in order, such
+    as iter_ctmc yields; see OccupationCounter.
+    """
+    if isinstance(traj, Trajectory):
+        # a whole path's last time is known: clipping at it is exact for any times
+        horizon = traj.times[-1] if t_end is None else t_end
+        counter = OccupationCounter(n_vertices, horizon, len(traj.times))
+    else:
+        counter = OccupationCounter(n_vertices, t_end)
+    for times, vertices in _chunks(traj):
+        counter.add(times, vertices)
+    return counter.fractions()
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +449,13 @@ def load_edge_list(path, n_vertices: Optional[int] = None) -> Graph:
     return Graph(n_vertices, tuple(edges))
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write one "t,vertex" row per jump, times at 17 significant digits."""
-    write_csv(path, "t,vertex", "%.17g,%d", traj.times, traj.vertices)
+def trajectory_to_csv(traj, path) -> None:
+    """Write one "t,vertex" row per jump, times at 17 significant digits.
+
+    ``traj`` is a Trajectory or its (times, vertices) chunks in order, each
+    written as it comes.
+    """
+    write_chunks(path, "t,vertex", "%.17g,%d", _chunks(traj))
 
 
 def load_trajectory_csv(path) -> Trajectory:

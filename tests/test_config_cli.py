@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from swarmcov import ConfigError, Grid, GridFunction, NumericError, sine_field
+from swarmcov import _csv
 from swarmcov import _sde_kernels as sk
 from swarmcov import cli, sde
 from swarmcov import estimation as est
@@ -20,6 +21,8 @@ from swarmcov.estimation import load_estimate_csv, load_observations_csv
 from swarmcov.fields import load_field_csv
 from swarmcov.graphs import load_trajectory_csv
 from swarmcov.sde import GaussianInit, PointInit, UniformInit, load_histogram_series_csv
+
+from test_graphs import reference_occupation
 
 CONFIG_DIR = resources.files("swarmcov") / "configs"
 
@@ -449,6 +452,7 @@ def test_cli_exit_two_on_non_finite_or_zero_rates(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(gr, "propagate", unreachable)
     monkeypatch.setattr(gr, "sample_ctmc", unreachable)
+    monkeypatch.setattr(gr, "iter_ctmc", unreachable)
     text = MINIMAL_GRAPH.replace("1.0, 2.0, 1.5", "1e300, 1e300, 1e300")
     for old, new in edits:
         assert old in text
@@ -612,6 +616,52 @@ def test_streamed_protocol_writes_the_bytes_of_simulate_copies(tmp_path, monkeyp
     monkeypatch.setattr(est, "iter_snapshots", sde.simulate)
     assert main(["estimate", "--config", _write(tmp_path, text, out=str(copied))]) == 0
     _same_files(streamed, copied)
+
+
+def test_cli_exit_three_when_jump_times_overflow(tmp_path, capsys):
+    # holding times near 1e306 (c = 1e-306): a thousand of them sum past the
+    # float limit, and the occupation of a path at time inf is nan
+    text = MINIMAL_GRAPH.replace("c = 1.0", "c = 1e-306").replace("max_jumps = 500",
+                                                                   "max_jumps = 1000")
+    assert main(["graph", "--config", _write(tmp_path, text, out=str(tmp_path / "out"))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("swarmcov: numeric error: ") and "overflow" in err
+    assert not (tmp_path / "out" / "occupation.csv").exists()
+
+
+# batches of 64 jumps on MINIMAL_GRAPH's 3-path (rates 1, 4 and 1.5): t_end = 100
+# stops it after about 270 jumps, in its fifth batch
+
+
+@pytest.mark.parametrize(
+    "sample, t_end, max_jumps",
+    [
+        pytest.param("max_jumps = 500", np.inf, 500, id="max_jumps"),
+        pytest.param("t_end = 100", 100.0, None, id="t_end"),
+        pytest.param("t_end = 100\nmax_jumps = 1000", 100.0, 1000, id="t_end-before-max_jumps"),
+        pytest.param("t_end = 100\nmax_jumps = 128", 100.0, 128, id="max_jumps-on-batch-edge"),
+    ],
+)
+def test_streamed_graph_writes_the_bytes_of_the_whole_path(tmp_path, monkeypatch, sample,
+                                                            t_end, max_jumps):
+    monkeypatch.setattr(gr, "_BATCH", 64)
+    monkeypatch.setattr(gr, "_CHAIN_SLICE", 10)
+    text = MINIMAL_GRAPH.replace("max_jumps = 500", sample)
+    out, want = tmp_path / "out", tmp_path / "want"
+    assert main(["graph", "--config", _write(tmp_path, text, out=str(out))]) == 0
+    # the whole path, its whole-array occupation, and the one-chunk writer
+    want.mkdir()
+    traj = gr.sample_ctmc(gr.path_graph(3), [1.0, 2.0, 1.5], 1.0, 0, t_end, 7, 1, max_jumps)
+    occ = reference_occupation(traj, 3, t_end if np.isfinite(t_end) else None)
+    gr.trajectory_to_csv(traj, want / "trajectory.csv")
+    _csv.write_csv(want / "occupation.csv", "vertex,occupation", "%d,%.17g", np.arange(3), occ)
+    for name in ("trajectory.csv", "occupation.csv"):
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+    summary = (out / "summary.csv").read_text().splitlines()
+    pi = gr.invariant_distribution(gr.path_graph(3), [1.0, 2.0, 1.5])
+    assert summary[2:] == [f"tv_occupation_vs_pi,{0.5 * float(np.abs(occ - pi).sum()):.17g}",
+                           f"n_jumps,{traj.n_jumps}"]
+    assert traj.n_jumps > 2 * 64 or traj.n_jumps == max_jumps == 128
 
 
 @pytest.mark.parametrize(

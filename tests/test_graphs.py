@@ -412,3 +412,126 @@ def test_trajectory_csv_bytes_match_per_row_writer(tmp_path):
     _reference_csv(traj, want)
     assert got.read_bytes() == want.read_bytes()
     assert got.read_bytes().count(b"\n") == n + 1
+
+
+# ---------------------------------------------------------------------------
+# the streamed path, its occupation and its CSV against the whole path
+
+
+def reference_occupation(traj, n_vertices, t_end=None):
+    """The whole-path occupation: clipped times, their differences, one
+    weighted bincount and one sum over the whole path."""
+    horizon = float(traj.times[-1]) if t_end is None else float(t_end)
+    if horizon <= traj.times[0]:
+        raise ValueError("horizon must exceed the trajectory start time")
+    t = np.minimum(traj.times, horizon)
+    durations = np.diff(np.append(t, horizon))
+    return np.bincount(traj.vertices, weights=durations, minlength=n_vertices) / durations.sum()
+
+
+def _assert_stream_matches_whole(g, f, c, start, t_end, seed, exponent, max_jumps, tmp_path=None):
+    """iter_ctmc's chunks join to sample_ctmc's path, their occupation is the
+    whole path's, bit for bit, and (given tmp_path) so is their CSV."""
+    args = (g, f, c, start, t_end, seed, exponent, max_jumps)
+    whole = sample_ctmc(*args)
+    chunks = [(t.copy(), v.copy()) for t, v in gr.iter_ctmc(*args)]
+    _assert_same_path(Trajectory(*(np.concatenate(col) for col in zip(*chunks))), whole)
+    horizon = t_end if np.isfinite(t_end) else None
+    try:
+        want = reference_occupation(whole, g.n_vertices, horizon)
+    except ValueError:
+        with pytest.raises(ValueError):
+            occupation(gr.iter_ctmc(*args), g.n_vertices, horizon)
+        return whole
+    got = occupation(gr.iter_ctmc(*args), g.n_vertices, horizon)
+    assert np.array_equal(got, want)
+    assert np.array_equal(occupation(whole, g.n_vertices, horizon), want)
+    # a counter fed while a writer consumes the stream, as the CLI does it
+    counter = gr.OccupationCounter(g.n_vertices, horizon,
+                                   None if max_jumps is None else max_jumps + 1)
+    if tmp_path is None:
+        for _ in counter.counting(gr.iter_ctmc(*args)):
+            pass
+    else:
+        streamed, joined = tmp_path / "streamed.csv", tmp_path / "joined.csv"
+        trajectory_to_csv(counter.counting(gr.iter_ctmc(*args)), streamed)
+        trajectory_to_csv(whole, joined)
+        assert streamed.read_bytes() == joined.read_bytes()
+    assert np.array_equal(counter.fractions(), want)
+    assert counter.n_rows == len(whole.times)
+    return whole
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_cases())
+def test_streamed_path_and_occupation_equal_the_whole_path(case):
+    g, f, exponent, t_end, max_jumps, batch, chain_slice, seed = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_BATCH", batch)
+        mp.setattr(gr, "_CHAIN_SLICE", chain_slice)
+        _assert_stream_matches_whole(g, f, 0.7, 0, t_end, seed, exponent, max_jumps)
+
+
+# with batches of 16 jumps: unit rates on a 2-path make about one jump per unit time
+B = 16
+
+
+@pytest.mark.parametrize(
+    "t_end, max_jumps, batches",
+    [
+        pytest.param(0.5 * B, None, 0, id="t_end-in-first-batch"),
+        pytest.param(2.5 * B, None, 2, id="t_end-in-third-batch"),
+        pytest.param(np.inf, B - 1, 0, id="max_jumps-below-edge"),
+        pytest.param(np.inf, B, 0, id="max_jumps-on-edge"),
+        pytest.param(np.inf, B + 1, 1, id="max_jumps-above-edge"),
+        pytest.param(np.inf, 2 * B, 1, id="max_jumps-on-second-edge"),
+        pytest.param(2.5 * B, 10 * B, 2, id="t_end-before-max_jumps"),
+        pytest.param(10.0 * B, 2 * B, 1, id="max_jumps-on-edge-before-t_end"),
+        pytest.param(10.0 * B, 2 * B + 3, 2, id="max_jumps-before-t_end"),
+    ],
+)
+def test_streamed_path_at_batch_edges(tmp_path, monkeypatch, t_end, max_jumps, batches):
+    monkeypatch.setattr(gr, "_BATCH", B)
+    monkeypatch.setattr(gr, "_CHAIN_SLICE", 5)
+    g = path_graph(2)
+    whole = _assert_stream_matches_whole(g, [1.0, 1.0], 1.0, 0, t_end, 23, 1, max_jumps,
+                                         tmp_path)
+    # the jump that stops the path: the last one kept, or the first past t_end
+    capped = whole.n_jumps == max_jumps
+    assert capped == (not np.isfinite(t_end) or max_jumps is not None and max_jumps < 3 * B)
+    assert (whole.n_jumps - capped) // B == batches
+    want = _reference_sample(g, [1.0, 1.0], 1.0, 0, t_end, 23, 1, max_jumps, batch=B)
+    _assert_same_path(whole, want)
+
+
+def test_streamed_path_at_full_batch_size(tmp_path):
+    # the sampler's own batch and chain slice, three batches and a cut one
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(12, 10, rng)
+    f = rng.uniform(0.5, 2.0, 12)
+    whole = _assert_stream_matches_whole(g, f, 1.0, 3, np.inf, 17, -1, 2 * gr._BATCH + 3,
+                                         tmp_path)
+    assert whole.n_jumps == 2 * gr._BATCH + 3
+
+
+def test_streamed_one_vertex_path(tmp_path):
+    g = Graph(1, ())
+    whole = _assert_stream_matches_whole(g, [2.0], 1.0, 0, 2.5, 3, 1, None, tmp_path)
+    assert whole.n_jumps == 0
+    assert [(t.tolist(), v.tolist()) for t, v in gr.iter_ctmc(g, [2.0], 1.0, 0, 2.5, 3)] == [
+        ([0.0], [0])]
+
+
+def test_iter_ctmc_checks_its_arguments_when_called():
+    g = path_graph(3)
+    for args in [(g, [1.0, 1.0, 1.0], 1.0, 3, 1.0, 0), (g, [1.0, 1.0, 1.0], 0.0, 0, 1.0, 0),
+                 (g, [1.0, 1.0, 1.0], 1.0, 0, -1.0, 0), (g, [1.0, 0.0, 1.0], 1.0, 0, 1.0, 0)]:
+        with pytest.raises(ValueError):
+            gr.iter_ctmc(*args)  # no next(): the check runs before the first draw
+
+
+def test_occupation_of_chunks_rejects_a_horizon_at_the_start():
+    with pytest.raises(ValueError, match="horizon"):
+        occupation([(np.array([0.0, 1.0]), np.array([0, 1]))], 2, t_end=0.0)
+    with pytest.raises(ValueError, match="horizon"):
+        occupation([(np.array([0.0]), np.array([0]))], 2)
