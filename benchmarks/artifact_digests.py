@@ -9,8 +9,12 @@ coverage configs for the agent-step branches the bundled ones leave out
 the gradient; stop/go switching in 1D and 2D) and three graph configs for the
 sampler's stops the bundled one leaves out (a 50-vertex random graph whose
 finite t_end cuts the chain in its third batch, the same graph with a jump
-cap that ends it first, and a one-vertex graph with a finite t_end) against
-the source tree given by --src, one run at a time, each writing to its own
+cap that ends it first, and a one-vertex graph with a finite t_end), two
+edge-list graphs for the sampler's per-vertex step table (a star whose hub
+has degree 30, and a 40-vertex threshold graph of degrees 1..39 whose t_end
+cuts the chain in its third batch) and an [observations] estimate whose
+table has a spaced header, a blank line and a comment line, against the
+source tree given by --src, one run at a time, each writing to its own
 directory under --out.  Prints one "sha256  run/file" line per artifact,
 sorted by file.  Run it on two source trees and diff the lists: a change that
 keeps every artifact byte for byte prints the same list.
@@ -128,6 +132,77 @@ values = 2.0
 [sample]
 seed = 3
 t_end = 2.5
+""",
+}
+
+# input files the configs below read, written beside them: a star whose hub
+# has degree 30, a 40-vertex threshold graph (i ~ j when i + j > 40, degrees
+# 1..39), and an observation table with a spaced header, a blank line and a
+# comment line among its rows
+_OBS_ROWS = [f"{t:.1f},{0.7 + 0.1 * k:.17g},{0.7 + 0.1 * (k + 1):.17g},"
+             f"{0.02 + 0.01 * k + 0.004 * t:.17g}" for t in (1.2, 1.4, 1.6, 1.8, 2.0)
+             for k in range(3)]
+INPUTS = {
+    "star30.edges": "".join(f"0 {i}\n" for i in range(1, 31)),
+    "threshold40.edges": "".join(f"{i - 1} {j - 1}\n" for i in range(1, 41)
+                                 for j in range(i + 1, 41) if i + j > 40),
+    "observations_spaced.csv": "\n".join([" t , cell_lo , cell_hi , fraction "] + _OBS_ROWS[:6]
+                                         + ["", "# the last three times"] + _OBS_ROWS[6:]) + "\n",
+}
+
+# the per-vertex step table's graphs: the star, and the threshold graph with
+# a t_end that cuts its chain in a later batch
+TABLED = {
+    "graph_star30": """
+[graph]
+kind = edgelist
+path = star30.edges
+
+[rates]
+c = 1.0
+values = """ + ", ".join(f"{0.5 + 0.05 * i:g}" for i in range(31)) + """
+
+[propagate]
+p0 = vertex:0
+times = 0.5, 2.0
+
+[sample]
+start = 3
+seed = 31
+max_jumps = 100000
+""",
+    "graph_threshold40_t_end": """
+[graph]
+kind = edgelist
+path = threshold40.edges
+
+[rates]
+c = 1.0
+exponent = -1
+values = """ + ", ".join(f"{0.6 + 0.03 * i:g}" for i in range(40)) + """
+
+[propagate]
+p0 = vertex:5
+times = 0.5, 2.0
+
+[sample]
+start = 5
+seed = 40
+t_end = 9000
+""",
+}
+
+OBSERVED = {
+    "estimate_observations_spaced": """
+[observations]
+path = observations_spaced.csv
+d = 0.05
+t1 = 1.0
+t2 = 2.0
+
+[inverse]
+cells = 50
+basis = 6
 """,
 }
 
@@ -262,7 +337,11 @@ def main() -> None:
 
     configs = os.path.join(src, "swarmcov", "configs")
     runs = [(name, sub, os.path.join(configs, name + ".cfg")) for name, sub in BUNDLED.items()]
-    for sub, written in (("pde", MARCHING), ("coverage", COVERING), ("graph", SAMPLING)):
+    for name, text in INPUTS.items():
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(text)
+    for sub, written in (("pde", MARCHING), ("coverage", COVERING), ("graph", SAMPLING),
+                         ("graph", TABLED), ("estimate", OBSERVED)):
         for name, text in written.items():
             path = os.path.join(out, name + ".cfg")
             with open(path, "w") as fh:

@@ -27,8 +27,16 @@ which walks the chain from a choice table, and with the per-jump walk it
 replaced, kept here as the reference; the two must return the same times and
 vertices, bit for bit.  They also write the chain as CSV, propagate the master
 equation to 5 times, which must match scipy.linalg.expm of the generator to
-1e-10 relative, and build the choice table of a graph whose degrees are
-1..299, the set-up cost of a wide degree range, whose size they print.
+1e-10 relative, and build the per-vertex step table of a 300-vertex graph
+whose degrees are 1..299, the set-up cost of a wide degree range, whose
+slots and size they print.  The binning rows put 8192 uniforms in the bins
+of the choice table's cuts, at the 50-vertex graph's and at the wide graph's,
+by slots (_slot_bins, which the sampler uses) and by np.searchsorted, kept
+here as the reference; the bins must be the same.
+The reader row reads a 750-row observation table (25 times, 30 cells) with
+read_csv, which parses it with np.loadtxt, and with np.genfromtxt, the
+reader it replaced, kept here as the reference; the two must read the same
+names and bits.
 The simulate rows run whole sde.simulate calls at the agents benchmark's
 sizes, with zero drift as there: the two-bump and a 33x33 CSV grid field with
 1e5 agents, 20 steps and a Gaussian start, and the sine field with 1e4
@@ -67,6 +75,7 @@ from __future__ import annotations
 import argparse
 import os
 import resource
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -78,7 +87,7 @@ from scipy.optimize import nnls
 from swarmcov import _field_kernels as fk
 from swarmcov import _pde_kernels as pk
 from swarmcov import _sde_kernels as sk
-from swarmcov._csv import write_csv
+from swarmcov._csv import read_csv, write_csv
 from swarmcov import estimation as est
 from swarmcov import cli
 from swarmcov import graphs as gr
@@ -572,6 +581,11 @@ def main() -> None:
                                if i + j > 300))
     wide_degrees = np.unique(wide.degrees).tolist()
     assert wide_degrees == list(range(1, 300))
+    uniforms = np.random.default_rng(1).random(8192)
+    binned = {}
+    for name, cut_graph in (("50 vertices", graph), ("wide graph", wide)):
+        cuts, _ = gr._choice_table(np.unique(cut_graph.degrees).tolist())
+        binned[name] = (len(cuts), gr._slot_bins(cuts), cuts)
     p_start = rng.random(50)
     p_start /= p_start.sum()
     prop_times = [0.25, 0.5, 1.0, 2.0, 4.0]
@@ -583,6 +597,10 @@ def main() -> None:
         for t in (0.5, 1.0, 1.5)
     ]
     snap_path = os.path.join(tmpdir.name, "snapshots.csv")
+    # a 750-row observation table: 25 times of the 30-cell window partition
+    obs_path = os.path.join(tmpdir.name, "observations.csv")
+    est.save_observations_csv(obs_path, obs)
+    obs_header = "t,cell_lo,cell_hi,fraction"
     # the columns snapshots_to_csv writes, for the reference writer
     snap_columns = (np.repeat([s.time for s in swarm], 100_000), np.tile(np.arange(100_000), 3),
                     *np.concatenate([s.positions for s in swarm]).T,
@@ -606,7 +624,12 @@ def main() -> None:
     pde_marched = "1D pure-diffusion solve, marched (50 cells)"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
     sampler_ref = "sample_ctmc, per-jump walk (reference)"
-    table = "choice table, degrees 1..299"
+    table = "step table, 300 vertices, degrees 1..299"
+    bin_rows = {name: (f"slot binning, 8192 uniforms, {n:,} cuts ({name})",
+                       f"searchsorted, 8192 uniforms, {n:,} cuts (reference)")
+                for name, (n, _, _) in binned.items()}
+    reader = "read_csv, 750-row observation table"
+    reader_ref = "genfromtxt, 750-row observation table (reference)"
     writer = f"trajectory_to_csv ({jumps:,} jumps)"
     writer_ref = "trajectory, chunked % writer (reference)"
     snap_writer = "snapshots_to_csv (100,000 agents, 2D, 3 snapshots)"
@@ -640,7 +663,13 @@ def main() -> None:
         ),
         (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
         (sampler_ref, lambda: per_jump_sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
-        (table, lambda: gr._choice_table(wide_degrees)),
+        (table, lambda: gr._step_table(wide)),
+        *((label, lambda b=b: b(uniforms))
+          for (label, _), (_, b, _) in zip(bin_rows.values(), binned.values())),
+        *((label, lambda c=c: np.searchsorted(c, uniforms, side="right"))
+          for (_, label), (_, _, c) in zip(bin_rows.values(), binned.values())),
+        (reader, lambda: read_csv(obs_path, obs_header)),
+        (reader_ref, lambda: np.genfromtxt(obs_path, delimiter=",", names=True)),
         (writer, lambda: gr.trajectory_to_csv(chain, csv_path)),
         (writer_ref, lambda: percent_write_csv(csv_path + ".ref", *csv_refs[csv_path])),
         (snap_writer, lambda: snapshots_to_csv(swarm, snap_path)),
@@ -700,11 +729,23 @@ def main() -> None:
     print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
           f"{times[sampler_ref] / times[sampler]:.1f}x faster than the per-jump walk, "
           f"bits identical; {times[writer] / jumps * 1e6:.3f} us per row written")
-    cuts, rows = gr._choice_table(wide_degrees)
-    entries = sum(len(row) for row in rows.values())
-    size = cuts.nbytes + sum(len(row) * row.itemsize for row in rows.values())
-    print(f"{table}: {len(cuts):,} cut points, {entries:,} entries, {size / 1e6:.1f} MB "
-          f"({rows[299].typecode!r} rows), built in {times[table] * 1e3:.0f} ms")
+    cuts, step_table = gr._step_table(wide)
+    slots = sum(len(row) for row in step_table)
+    size = sum(sys.getsizeof(row) for row in step_table) + sys.getsizeof(step_table)
+    print(f"{table}: {len(cuts):,} cut points, {slots:,} slots, {size / 1e6:.1f} MB, "
+          f"built in {times[table] * 1e3:.0f} ms")
+    for name, (n, bins_of, cuts) in binned.items():
+        label, ref = bin_rows[name]
+        if bins_of(uniforms).tobytes() != np.searchsorted(cuts, uniforms, side="right").tobytes():
+            raise SystemExit(f"{label} differs from searchsorted")
+        print(f"{label}: {times[label] / 8192 * 1e9:.1f} ns per uniform, against "
+              f"{times[ref] / 8192 * 1e9:.1f} for searchsorted, bins identical")
+    got = read_csv(obs_path, obs_header)
+    want = np.genfromtxt(obs_path, delimiter=",", names=True)
+    if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+        raise SystemExit("read_csv differs from genfromtxt")
+    print(f"{reader}: {times[reader] / len(got) * 1e6:.2f} us per row, against "
+          f"{times[reader_ref] / len(got) * 1e6:.2f} for genfromtxt, names and bits identical")
     for path, label, ref in ((csv_path, writer, writer_ref), (snap_path, snap_writer, snap_ref)):
         with open(path, "rb") as got, open(path + ".ref", "rb") as want:
             if got.read() != want.read():

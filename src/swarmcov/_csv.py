@@ -25,7 +25,17 @@ exponents -4..-1, the digits and dots its cells reach, "e-XX" only for
 exponents below -4, and as many int digits as its widest cell.  A chunk with
 a cell left to ``%`` keeps the whole slot.  The kept columns of every field
 make one (rows x width) byte matrix, a keep mask drops the characters each
-cell does not print, and one boolean index joins the chunk.
+cell does not print, and one boolean index joins the chunk.  An int cell's
+digit count is one plus the powers of ten, up to the chunk's widest cell's,
+that it reaches.
+
+``read_csv`` reads the header line itself, as np.genfromtxt(names=True)
+reads one (a leading "#" and the spaces around names are allowed), skips
+the lines genfromtxt skips (blank but for spaces and a "#" comment), and
+parses the rows with np.loadtxt's C parser, which rounds each cell to the
+nearest double, as genfromtxt did, so a table written and read again keeps
+its bits.  A row with an empty or non-numeric cell raises ValueError, as
+one with a missing or extra cell does; genfromtxt read such a cell as nan.
 """
 
 from __future__ import annotations
@@ -56,6 +66,8 @@ _P_HH, _P_HL = _split(_P_HI)
 _DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(
     np.uint8).view(np.uint32).ravel()
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+# the characters np.genfromtxt drops from a column name
+_NAME_DROPS = frozenset(r"""~!@#$%^&*()-=+~\|]}[{';: /?.>,<""" + '"')
 
 
 def _float_slot_keep():
@@ -184,8 +196,11 @@ def _int_cells(v, sep):
     neg = v < 0
     mag = v.astype(np.uint64)  # modulo 2**64, so 0 - mag is |v| for v < 0
     mag = np.where(neg, 0 - mag, mag)
-    count = 1 + np.searchsorted(_POW10, mag, side="right")
-    width = int(count.max())
+    width = len(str(int(mag.max())))
+    # digits: one, plus one for each power of ten up to the widest cell's it reaches
+    count = np.ones(len(mag), np.intp)
+    for p in _POW10[:width - 1]:
+        count += mag >= p
     keep = _INT_KEEP[width].copy()
     keep[0] = neg.any()
     cols = np.flatnonzero(keep)
@@ -263,15 +278,47 @@ def write_chunks(path, header: str, row_format: str, chunks) -> None:
                          else _percent_rows(row_format, chunk))
 
 
-def read_csv(path, *headers: str) -> np.ndarray:
-    """The rows of a table as a structured array, named by its header.
+def _header_names(fh) -> list[str]:
+    """The column names on the table's first line, as np.genfromtxt(names=True)
+    reads them, leaving fh at the first row.
 
-    Raises ValueError unless the header is one of ``headers``.
+    Blank lines before the header are skipped, and the header is the text
+    after a "#" when the line has one.  A first name left empty is dropped;
+    each name is stripped, its spaces become "_" and the characters of
+    _NAME_DROPS go.
     """
-    raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
-    if ",".join(raw.dtype.names or ()) not in headers:
-        raise ValueError(f"expected header {' or '.join(headers)}")
-    return raw
+    values = []
+    while not values:
+        line = fh.readline()
+        if not line:
+            return []
+        if "#" in line:
+            line = "".join(line.split("#")[1:])
+        line = line.strip(" \r\n")
+        values = line.split(",") if line else []
+    if not values[0].strip():
+        del values[0]
+    return ["".join(c for c in v.strip().replace(" ", "_") if c not in _NAME_DROPS)
+            for v in values]
+
+
+def read_csv(path, *headers: str) -> np.ndarray:
+    """The rows of a table as a structured array of floats, named by its header.
+
+    Raises ValueError unless the header is one of ``headers``, and on a row
+    with a missing, extra, empty or non-numeric cell.  Lines that are blank
+    but for spaces and a "#" comment are skipped, as np.genfromtxt skips
+    them; np.loadtxt parses the rest, rounding each cell to the nearest
+    double, as float() does.
+    """
+    with open(path) as fh:
+        names = _header_names(fh)
+        if ",".join(names) not in headers:
+            raise ValueError(f"expected header {' or '.join(headers)}")
+        rows = [line for line in fh if line.split("#")[0].strip(" \r\n")]
+    dtype = [(name, float) for name in names]
+    # loadtxt would warn of a table of no rows; its callers say if that will not do
+    return np.loadtxt(rows, delimiter=",", ndmin=1, dtype=dtype) if rows else np.empty(0, dtype)
 
 
 def centers_to_axis(centers: np.ndarray) -> tuple[float, float, int]:

@@ -559,14 +559,18 @@ def load_observations_csv(path, n_agents: int = 0) -> ObservationSeries:
     first = raw[raw["t"] == times[0]]
     cells = tuple(zip(first["cell_lo"], first["cell_hi"]))
     partition = Partition((cells[0][0], cells[-1][1]), cells)
-    fractions = np.full((len(times), len(cells)), np.nan)
-    index = {t: k for k, t in enumerate(times)}
     lookup = {c: w for w, c in enumerate(cells)}
-    for row in raw:
-        cell = (row["cell_lo"], row["cell_hi"])
-        if cell not in lookup:
-            raise ValueError(f"cell {cell} is not among the first time's cells")
-        fractions[index[row["t"]], lookup[cell]] = row["fraction"]
+    column = [lookup.get(c, -1) for c in zip(raw["cell_lo"].tolist(), raw["cell_hi"].tolist())]
+    if -1 in column:
+        bad = raw[column.index(-1)]
+        raise ValueError(f"cell {(bad['cell_lo'], bad['cell_hi'])} is not among the first "
+                         "time's cells")
+    # each row's flat index in the table; where rows repeat a (time, cell), the last one holds
+    flat = np.searchsorted(times, raw["t"]) * len(cells) + np.array(column)
+    _, last = np.unique(flat[::-1], return_index=True)
+    last = len(flat) - 1 - last
+    fractions = np.full((len(times), len(cells)), np.nan)
+    fractions.flat[flat[last]] = raw["fraction"][last]
     if np.isnan(fractions).any():
         raise ValueError("incomplete observation table")
     return ObservationSeries(times, fractions, n_agents, partition)

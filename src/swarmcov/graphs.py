@@ -11,7 +11,6 @@ distribution is proportional to 1/f; with e = -1 it is proportional to f
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -183,7 +182,7 @@ def propagate(
     return out[0] if np.ndim(t) == 0 else out
 
 
-def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
+def _choice_table(degrees) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Cut points and choice rows for the uniform neighbor choice at these degrees.
 
     A uniform u picks neighbor min(int(u * d), d - 1) of a degree-d vertex, a
@@ -192,7 +191,8 @@ def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
     one above it): each cut starts at i / d and moves by ulps until it is that
     double.  ``cuts`` holds the cuts of every degree, sorted and distinct, so
     a uniform's bin b = searchsorted(cuts, u, side="right") fixes its choice
-    at every degree: ``rows[d][b]``, one compact array per degree.
+    at every degree: ``rows[d][b]``, one row per degree, of the smallest
+    unsigned dtype that holds d - 1.
     """
     d = np.concatenate([np.full(k - 1, k, dtype=np.int64) for k in degrees])
     i = np.concatenate([np.arange(1, k) for k in degrees])
@@ -207,8 +207,51 @@ def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
     for k in degrees:
         row = np.zeros(len(cuts) + 1, dtype=dtype)
         row[1:] = np.searchsorted(u[d == k], cuts, side="right")
-        rows[k] = array(dtype.char, row.tobytes())
+        rows[k] = row
     return cuts, rows
+
+
+def _slot_bins(cuts: np.ndarray):
+    """A function taking uniforms u in [0, 1] to searchsorted(cuts, u, side="right").
+
+    [0, 1) is split into G slots of width 1 / G, G the power of two at least
+    len(cuts) (and at least 2), so slot k = int(u * G) is exact, and u = 1.0
+    gets slot G.  ``start[k]`` counts the cuts below k / G, all of them at or
+    below u; the cuts of later slots all exceed u; so u's bin is start[k]
+    plus the number of slot k's cuts at or below u.  m, the most cuts a slot
+    holds, bounds that number: m comparisons with ``pad``, the cuts followed
+    by m + 1 copies of 2.0, which no u reaches, count them.  The memory is
+    O(len(cuts)).
+    """
+    G = max(2, 1 << (len(cuts) - 1).bit_length())
+    start = np.searchsorted(cuts, np.arange(G + 1) / G, side="left")
+    m = int(np.diff(start).max())
+    pad = np.concatenate([cuts, np.full(m + 1, 2.0)])
+    shifted = [pad[j:] for j in range(m)]  # shifted[j][s] is pad[s + j]
+
+    def bins(u):
+        s = start[(u * G).astype(np.intp)]
+        b = s.copy()
+        for p in shifted:
+            b += p[s] <= u
+        return b
+
+    return bins
+
+
+def _step_table(g: Graph) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """The choice table's cuts, and step[v][b]: the neighbor of v that a choice
+    uniform in bin b picks, the row of v's degree composed with v's neighbors.
+
+    The rows share the neighbor lists' int objects, so the table costs its
+    n * (len(cuts) + 1) tuple slots of 8 bytes; len(cuts) is below the sum
+    of d - 1 over the distinct degrees d, so the slots number under
+    n * D**2 / 2 for largest degree D: 50 x 22 on a 50-vertex graph of
+    degrees 1..8, 8.4 M (67 MB) on 300 vertices of degrees 1..299.
+    """
+    nbrs = [a.tolist() for a in g.neighbor_lists()]
+    cuts, rows = _choice_table(np.unique(g.degrees).tolist())
+    return cuts, [tuple(map(nb.__getitem__, rows[len(nb)].tolist())) for nb in nbrs]
 
 
 def iter_ctmc(
@@ -230,12 +273,13 @@ def iter_ctmc(
     t_end or after max_jumps jumps, whichever comes first.
 
     Uniforms are drawn _BATCH holding times and _BATCH choices at a time.
-    Each choice uniform is binned among the cut points of the choice table in
-    one numpy call, so the vertex chain, the only Python loop, takes two list
-    lookups per jump: the bin's choice in the row of the vertex's degree, then
-    that neighbor.  The holding times and their running sum (sequential, so
-    each jump time is the rounded t + hold of a per-jump loop) are computed
-    in place of their uniforms.
+    Each choice uniform is binned among the cut points of the choice table by
+    numpy, slot by slot (_slot_bins), and the vertex chain, the only Python
+    loop, takes one table lookup per jump: step[v][b], the vertex entered
+    from v when the choice uniform falls in bin b, built once per walk
+    (_step_table, n * (number of cuts + 1) slots).  The holding times and
+    their running sum (sequential, so each jump time is the rounded t + hold
+    of a per-jump loop) are computed in place of their uniforms.
     """
     f = _check_field(g, f)
     e = _check_exponent(exponent)
@@ -252,10 +296,8 @@ def _walk(g, rates, start, t_end, seed, max_jumps):
     yield np.array([0.0]), np.array([start], dtype=np.int64)
     if g.n_vertices == 1:
         return
-    nbrs = [a.tolist() for a in g.neighbor_lists()]
-    degrees = g.degrees
-    cuts, rows = _choice_table(np.unique(degrees).tolist())
-    pick = [rows[d] for d in degrees.tolist()]
+    cuts, step = _step_table(g)
+    bins_of = _slot_bins(cuts)
     rng = np.random.default_rng(seed)
     remaining = np.inf if max_jumps is None else int(max_jumps)
     # path[k] is the vertex held before jump k and path[k + 1] the one it
@@ -269,8 +311,8 @@ def _walk(g, rates, start, t_end, seed, max_jumps):
         path[0] = v
         for lo in range(0, cap, _CHAIN_SLICE):
             hi = min(lo + _CHAIN_SLICE, cap)
-            bins = np.searchsorted(cuts, u_choice[lo:hi], side="right").tolist()
-            path[lo + 1 : hi + 1] = [v := nbrs[v][pick[v][b]] for b in bins]
+            bins = bins_of(u_choice[lo:hi]).tolist()
+            path[lo + 1 : hi + 1] = [v := step[v][b] for b in bins]
         # the holding times, then the jump times, in place of their uniforms;
         # the first jump time is h + t, which is t + h
         jump_t = u_hold[:cap]

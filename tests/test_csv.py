@@ -1,13 +1,18 @@
 """The shared CSV table format: writer bytes against a per-row writer, and
 loader round-trips bit for bit."""
 
+import re
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmcov import _csv
 from swarmcov.estimation import (
     ObservationSeries,
+    Partition,
     load_estimate_csv,
     load_observations_csv,
     save_estimate_csv,
@@ -260,3 +265,130 @@ def test_observation_estimate_and_field_loaders_round_trip_bit_for_bit(tmp_path_
         _same_bits(back.values, field.values)
         for a, b in zip(back.axes, field.axes):
             _same_bits(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the reader against np.genfromtxt, which it replaced
+
+
+def _genfromtxt_reference(path, *headers):
+    """The reader read_csv replaced: one np.genfromtxt(names=True) call."""
+    raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    if ",".join(raw.dtype.names or ()) not in headers:
+        raise ValueError(f"expected header {' or '.join(headers)}")
+    return raw
+
+
+ROWS = "1.5,2\n0.1000000000000000055511151231257827,-0\n2.2250738585072011e-308,5e-324\n"
+TABLES = {
+    "plain": "t,vertex\n" + ROWS,
+    "spaced-header": "  t , vertex  \n" + ROWS,
+    "hash-header": "# t,vertex\n" + ROWS,
+    "bare-hash-header": "#t, vertex\n" + ROWS,
+    "double-hash-header": "##t,vertex\n" + ROWS,
+    "dropped-characters": "t,ver-tex\n" + ROWS,
+    "empty-first-name": ",t,vertex\n" + ROWS,
+    "blank-lines": "\n\nt,vertex\n\n1.5,2\n   \n\n0.25,3\n",
+    "comment-lines": "t,vertex\n# a comment\n1.5,2 # a tail\n   # indented\n0.25,3\n",
+    "crlf": "t,vertex\r\n1.5,2\r\n\r\n0.25,3\r\n",
+    "no-final-newline": "t,vertex\n1.5,2",
+    "spaced-cells": "t,vertex\n 1.5 , 2 \n+0.25,+3\n",
+    "header-only": "t,vertex\n",
+    "nan-and-inf": "t,vertex\nnan,inf\n-inf,NaN\nInfinity,-Infinity\n-nan,1e400\n",
+}
+
+
+@pytest.mark.parametrize("text", TABLES.values(), ids=TABLES.keys())
+def test_read_csv_reads_what_genfromtxt_read(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    want = _genfromtxt_reference(path, "t,vertex")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning, a header-only table included
+        got = _csv.read_csv(path, "t,vertex")
+    assert got.dtype == want.dtype and got.dtype.names == ("t", "vertex")
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+REJECTED = {
+    "other-header": "t,vertx\n1.5,2\n",
+    "header-with-tail-comment": "t,vertex # two columns\n1.5,2\n",
+    "comment-before-header": "# written by hand\nt,vertex\n1.5,2\n",
+    "inner-space": "t,ver tex\n1.5,2\n",
+    "empty-file": "",
+    "short-row": "t,vertex\n1.5,2\n1.5\n",
+    "long-row": "t,vertex\n1.5,2,3\n",
+    "empty-cell": "t,vertex\n1.5,\n",
+    "non-numeric-cell": "t,vertex\nabc,2\n",
+    "tab-line": "t,vertex\n1.5,2\n\t\n",
+}
+
+
+@pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+def test_read_csv_rejects_bad_headers_and_rows(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            _csv.read_csv(path, "t,vertex")
+
+
+def _per_row_observations(path):
+    """The placement load_observations_csv replaced: one loop over the rows."""
+    raw = _csv.read_csv(path, "t,cell_lo,cell_hi,fraction")
+    times = np.unique(raw["t"])
+    first = raw[raw["t"] == times[0]]
+    cells = tuple(zip(first["cell_lo"], first["cell_hi"]))
+    Partition((cells[0][0], cells[-1][1]), cells)
+    fractions = np.full((len(times), len(cells)), np.nan)
+    index = {t: k for k, t in enumerate(times)}
+    lookup = {c: w for w, c in enumerate(cells)}
+    for row in raw:
+        cell = (row["cell_lo"], row["cell_hi"])
+        if cell not in lookup:
+            raise ValueError(f"cell {cell} is not among the first time's cells")
+        fractions[index[row["t"]], lookup[cell]] = row["fraction"]
+    if np.isnan(fractions).any():
+        raise ValueError("incomplete observation table")
+    return times, fractions, cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([10, 100]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["complete", "repeats", "missing", "stray-cell"]))
+def test_observation_placement_equals_the_per_row_loop(tmp_path_factory, n_times, divisor, seed,
+                                                       kind):
+    rng = np.random.default_rng(seed)
+    part = window_partition((0.7, 1.0), divisor)
+    n_cells = part.n_cells
+    times = np.cumsum(rng.uniform(0.5, 2.0, n_times))
+    t = np.repeat(times, n_cells)
+    lo, hi = (np.tile([c[k] for c in part.cells], n_times) for k in (0, 1))
+    fraction = rng.random(len(t))
+    if kind == "repeats":
+        # later times' (t, cell) pairs again, with other fractions: the last row holds
+        again = rng.integers(n_cells if n_times > 1 else 0, len(t), 1 + len(t) // 2)
+        t, lo, hi = (np.concatenate([a, a[again]]) for a in (t, lo, hi))
+        fraction = np.concatenate([fraction, rng.random(len(again))])
+    elif kind == "missing" and n_times > 1:
+        t, lo, hi, fraction = (np.delete(a, n_cells + 1) for a in (t, lo, hi, fraction))
+    elif kind == "stray-cell" and n_times > 1:
+        lo[-1] = 0.5
+    # shuffled rows; the first time's rows keep their order, which sets the partition's
+    order = rng.permutation(len(t))
+    first = t[order] == times[0]
+    order[first] = np.sort(order[first])
+    path = tmp_path_factory.mktemp("obs") / "obs.csv"
+    _csv.write_csv(path, "t,cell_lo,cell_hi,fraction", "%.17g,%.17g,%.17g,%.17g",
+                   t[order], lo[order], hi[order], fraction[order])
+    try:
+        want = _per_row_observations(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            load_observations_csv(path)
+        return
+    got = load_observations_csv(path)
+    _same_bits(got.times, want[0])
+    _same_bits(got.fractions, want[1])
+    assert got.partition.cells == want[2]

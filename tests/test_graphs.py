@@ -535,3 +535,67 @@ def test_occupation_of_chunks_rejects_a_horizon_at_the_start():
         occupation([(np.array([0.0, 1.0]), np.array([0, 1]))], 2, t_end=0.0)
     with pytest.raises(ValueError, match="horizon"):
         occupation([(np.array([0.0]), np.array([0]))], 2)
+
+
+# ---------------------------------------------------------------------------
+# the walk's binning and its per-vertex table against searchsorted and the
+# per-jump walk
+
+
+def _assert_slot_bins_match_searchsorted(degrees, u):
+    cuts, _ = gr._choice_table(degrees)
+    u = np.concatenate([u, cuts, np.nextafter(cuts, 0.0), [0.0, np.nextafter(1.0, 0.0), 1.0]])
+    got = gr._slot_bins(cuts)(u)
+    assert got.tolist() == np.searchsorted(cuts, u, side="right").tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(1, 300), min_size=1, max_size=20), st.integers(0, 2**32 - 1))
+def test_slot_bins_equal_searchsorted(degrees, seed):
+    # at every cut and the double below it, at 0.0, 1.0 (the clamp's stub) and at random
+    u = np.random.default_rng(seed).random(500)
+    _assert_slot_bins_match_searchsorted(sorted(degrees), u)
+
+
+@pytest.mark.parametrize("degrees", [[1], [999], [1, 40]], ids=["no-cuts", "one-degree", "star"])
+def test_slot_bins_equal_searchsorted_at_extremes(degrees):
+    _assert_slot_bins_match_searchsorted(degrees, np.random.default_rng(1).random(2000))
+
+
+def _threshold_graph(n):
+    # vertices 1..n (as 0..n-1), i ~ j when i + j > n: the degrees are 1..n-1
+    return Graph(n, tuple((i - 1, j - 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                          if i + j > n))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(31, tuple((0, i) for i in range(1, 31))), complete_graph(9), _threshold_graph(40)],
+    ids=["star", "complete", "threshold-40"],
+)
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("t_end, max_jumps", [(np.inf, 500), (150.0, None), (150.0, 700)])
+def test_per_vertex_table_walk_equals_per_jump_walk(g, seed, t_end, max_jumps):
+    if g.n_vertices == 40:
+        assert set(g.degrees.tolist()) == set(range(1, 40))
+    f = np.linspace(0.5, 3.0, g.n_vertices)
+    want = _reference_sample(g, f, 1.3, 1, t_end, seed, -1, max_jumps, batch=37)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_BATCH", 37)
+        mp.setattr(gr, "_CHAIN_SLICE", 11)
+        got = sample_ctmc(g, f, 1.3, 1, t_end, seed, -1, max_jumps)
+    assert got.n_jumps > 3 * 37
+    _assert_same_path(got, want)
+
+
+def test_per_vertex_table_holds_each_vertex_choice():
+    # step[v][b] is the neighbor min(int(u * d), d - 1) for every u of bin b
+    g = _threshold_graph(40)
+    cuts, step = gr._step_table(g)
+    nbrs = g.neighbor_lists()
+    u = np.concatenate([[0.0], cuts])  # the least u of each bin
+    bins = np.searchsorted(cuts, u, side="right")
+    assert bins.tolist() == list(range(len(cuts) + 1))
+    for v, nb in enumerate(nbrs):
+        d = len(nb)
+        assert list(step[v]) == nb[np.minimum((u * d).astype(np.int64), d - 1)].tolist()
