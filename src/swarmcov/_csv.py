@@ -33,9 +33,9 @@ that it reaches.
 reads one (a leading "#" and the spaces around names are allowed), skips
 the lines genfromtxt skips (blank but for spaces and a "#" comment), and
 parses the rows with np.loadtxt's C parser, which rounds each cell to the
-nearest double, as genfromtxt did, so a table written and read again keeps
-its bits.  A row with an empty or non-numeric cell raises ValueError, as
-one with a missing or extra cell does; genfromtxt read such a cell as nan.
+nearest double, so a table written and read again keeps its bits.  A row
+with an empty or non-numeric cell raises ValueError, as one with a missing
+or extra cell does.
 """
 
 from __future__ import annotations

@@ -191,8 +191,8 @@ def _choice_table(degrees) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     one above it): each cut starts at i / d and moves by ulps until it is that
     double.  ``cuts`` holds the cuts of every degree, sorted and distinct, so
     a uniform's bin b = searchsorted(cuts, u, side="right") fixes its choice
-    at every degree: ``rows[d][b]``, one row per degree, of the smallest
-    unsigned dtype that holds d - 1.
+    at every degree: ``rows[d][b]``, one row per degree, in the smallest
+    unsigned dtype that holds the largest degree's choices.
     """
     d = np.concatenate([np.full(k - 1, k, dtype=np.int64) for k in degrees])
     i = np.concatenate([np.arange(1, k) for k in degrees])
