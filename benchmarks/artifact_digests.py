@@ -12,7 +12,9 @@ finite t_end cuts the chain in its third batch, the same graph with a jump
 cap that ends it first, and a one-vertex graph with a finite t_end), two
 edge-list graphs for the sampler's per-vertex step table (a star whose hub
 has degree 30, and a 40-vertex threshold graph of degrees 1..39 whose t_end
-cuts the chain in its third batch) and an [observations] estimate whose
+cuts the chain in its third batch), one star of 600 leaves whose table
+would pass its bound, so that its chain takes two lookups per jump, and an
+[observations] estimate whose
 table has a spaced header, a blank line and a comment line, against the
 source tree given by --src, one run at a time, each writing to its own
 directory under --out.  Prints one "sha256  run/file" line per artifact,
@@ -135,8 +137,8 @@ t_end = 2.5
 """,
 }
 
-# input files the configs below read, written beside them: a star whose hub
-# has degree 30, a 40-vertex threshold graph (i ~ j when i + j > 40, degrees
+# input files the configs below read, written beside them: stars whose hub
+# has degree 30 and 600, a 40-vertex threshold graph (i ~ j when i + j > 40, degrees
 # 1..39), and an observation table with a spaced header, a blank line and a
 # comment line among its rows
 _OBS_ROWS = [f"{t:.1f},{0.7 + 0.1 * k:.17g},{0.7 + 0.1 * (k + 1):.17g},"
@@ -144,15 +146,18 @@ _OBS_ROWS = [f"{t:.1f},{0.7 + 0.1 * k:.17g},{0.7 + 0.1 * (k + 1):.17g},"
              for k in range(3)]
 INPUTS = {
     "star30.edges": "".join(f"0 {i}\n" for i in range(1, 31)),
+    "star600.edges": "".join(f"0 {i}\n" for i in range(1, 601)),
     "threshold40.edges": "".join(f"{i - 1} {j - 1}\n" for i in range(1, 41)
                                  for j in range(i + 1, 41) if i + j > 40),
     "observations_spaced.csv": "\n".join([" t , cell_lo , cell_hi , fraction "] + _OBS_ROWS[:6]
                                          + ["", "# the last three times"] + _OBS_ROWS[6:]) + "\n",
 }
 
-# the per-vertex step table's graphs: the star, and the threshold graph with
-# a t_end that cuts its chain in a later batch
-TABLED = {
+# the walk's graphs: the star of 30 leaves and the threshold graph, with a
+# t_end that cuts its chain in a later batch, take the per-vertex step table;
+# the star of 600 leaves, whose table would hold 601 x 600 slots, past
+# graphs._STEP_SLOTS, takes two lookups per jump
+WALKED = {
     "graph_star30": """
 [graph]
 kind = edgelist
@@ -189,6 +194,24 @@ times = 0.5, 2.0
 start = 5
 seed = 40
 t_end = 9000
+""",
+    "graph_star600": """
+[graph]
+kind = edgelist
+path = star600.edges
+
+[rates]
+c = 1.0
+values = """ + ", ".join(f"{0.5 + 0.002 * i:g}" for i in range(601)) + """
+
+[propagate]
+p0 = vertex:0
+times = 0.5
+
+[sample]
+start = 7
+seed = 600
+max_jumps = 100000
 """,
 }
 
@@ -341,7 +364,7 @@ def main() -> None:
         with open(os.path.join(out, name), "w") as fh:
             fh.write(text)
     for sub, written in (("pde", MARCHING), ("coverage", COVERING), ("graph", SAMPLING),
-                         ("graph", TABLED), ("estimate", OBSERVED)):
+                         ("graph", WALKED), ("estimate", OBSERVED)):
         for name, text in written.items():
             path = os.path.join(out, name + ".cfg")
             with open(path, "w") as fh:

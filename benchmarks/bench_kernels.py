@@ -27,9 +27,14 @@ which walks the chain from a choice table, and with the per-jump walk it
 replaced, kept here as the reference; the two must return the same times and
 vertices, bit for bit.  They also write the chain as CSV, propagate the master
 equation to 5 times, which must match scipy.linalg.expm of the generator to
-1e-10 relative, and build the per-vertex step table of a 300-vertex graph
-whose degrees are 1..299, the set-up cost of a wide degree range, whose
-slots and size they print.  The binning rows put 8192 uniforms in the bins
+1e-10 relative.  The chain set-up rows build the walk's chain
+(graphs._chain) on each side of its bound on the per-vertex step table
+(_STEP_SLOTS): the 50-vertex graph and a star of 400 leaves take the table,
+a star of 10,000 leaves and a 300-vertex graph whose degrees are 1..299 (a
+wide degree range) the per-degree rows and two lookups per jump; each
+prints which, the slots a table would hold and tracemalloc's peak over the
+set-up.  A sampling row walks the wide graph 3e5 jumps by two lookups,
+which must match the per-jump walk bit for bit.  The binning rows put 8192 uniforms in the bins
 of the choice table's cuts, at the 50-vertex graph's and at the wide graph's,
 by slots (_slot_bins, which the sampler uses) and by np.searchsorted, kept
 here as the reference; the bins must be the same.
@@ -75,7 +80,6 @@ from __future__ import annotations
 import argparse
 import os
 import resource
-import sys
 import tempfile
 import time
 import tracemalloc
@@ -581,6 +585,12 @@ def main() -> None:
                                if i + j > 300))
     wide_degrees = np.unique(wide.degrees).tolist()
     assert wide_degrees == list(range(1, 300))
+    star_graphs = {leaves: gr.Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
+                   for leaves in (400, 10_000)}
+    chain_graphs = {"50 vertices": graph, "star of 400 leaves": star_graphs[400],
+                    "star of 10,000 leaves": star_graphs[10_000],
+                    "300 vertices, degrees 1..299": wide}
+    wf = np.linspace(0.5, 2.0, 300)
     uniforms = np.random.default_rng(1).random(8192)
     binned = {}
     for name, cut_graph in (("50 vertices", graph), ("wide graph", wide)):
@@ -624,7 +634,9 @@ def main() -> None:
     pde_marched = "1D pure-diffusion solve, marched (50 cells)"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
     sampler_ref = "sample_ctmc, per-jump walk (reference)"
-    table = "step table, 300 vertices, degrees 1..299"
+    setups = {name: f"chain set-up, {name}" for name in chain_graphs}
+    wide_sampler = f"sample_ctmc (300 vertices, degrees 1..299, {jumps:,} jumps)"
+    wide_ref = "sample_ctmc, wide graph, per-jump walk (reference)"
     bin_rows = {name: (f"slot binning, 8192 uniforms, {n:,} cuts ({name})",
                        f"searchsorted, 8192 uniforms, {n:,} cuts (reference)")
                 for name, (n, _, _) in binned.items()}
@@ -663,7 +675,9 @@ def main() -> None:
         ),
         (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
         (sampler_ref, lambda: per_jump_sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
-        (table, lambda: gr._step_table(wide)),
+        *((setups[name], lambda g=g: gr._chain(g)) for name, g in chain_graphs.items()),
+        (wide_sampler, lambda: gr.sample_ctmc(wide, wf, 1.0, 0, np.inf, 12, -1, jumps)),
+        (wide_ref, lambda: per_jump_sample_ctmc(wide, wf, 1.0, 0, np.inf, 12, -1, jumps)),
         *((label, lambda b=b: b(uniforms))
           for (label, _), (_, b, _) in zip(bin_rows.values(), binned.values())),
         *((label, lambda c=c: np.searchsorted(c, uniforms, side="right"))
@@ -729,11 +743,22 @@ def main() -> None:
     print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
           f"{times[sampler_ref] / times[sampler]:.1f}x faster than the per-jump walk, "
           f"bits identical; {times[writer] / jumps * 1e6:.3f} us per row written")
-    cuts, step_table = gr._step_table(wide)
-    slots = sum(len(row) for row in step_table)
-    size = sum(sys.getsizeof(row) for row in step_table) + sys.getsizeof(step_table)
-    print(f"{table}: {len(cuts):,} cut points, {slots:,} slots, {size / 1e6:.1f} MB, "
-          f"built in {times[table] * 1e3:.0f} ms")
+    got = gr.sample_ctmc(wide, wf, 1.0, 0, np.inf, 12, -1, jumps)
+    reference = per_jump_sample_ctmc(wide, wf, 1.0, 0, np.inf, 12, -1, jumps)
+    for name in ("times", "vertices"):
+        if getattr(got, name).tobytes() != getattr(reference, name).tobytes():
+            raise SystemExit(f"sample_ctmc {name} on the wide graph differ from the "
+                             "per-jump walk's")
+    print(f"wide graph chain, two lookups: {times[wide_sampler] / jumps * 1e6:.3f} us per jump "
+          f"sampled, set-up included, against {times[wide_ref] / jumps * 1e6:.3f} for the "
+          "per-jump walk, bits identical")
+    for name, g in chain_graphs.items():
+        cuts, _ = gr._choice_table(np.unique(g.degrees).tolist())
+        slots = g.n_vertices * (len(cuts) + 1)
+        walk = "step table" if slots <= gr._STEP_SLOTS else "two lookups (past the bound)"
+        peak = traced_peak_mb(lambda g=g: gr._chain(g))
+        print(f"{setups[name]}: {walk}, {len(cuts):,} cut points, {slots:,} table slots, "
+              f"{times[setups[name]] * 1e3:.1f} ms, traced peak {peak:.1f} MB")
     for name, (n, bins_of, cuts) in binned.items():
         label, ref = bin_rows[name]
         if bins_of(uniforms).tobytes() != np.searchsorted(cuts, uniforms, side="right").tobytes():

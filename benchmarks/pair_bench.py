@@ -6,10 +6,12 @@ Each pair runs
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 once in the parent checkout and once in the change checkout, one process at
-a time; odd seeds run the parent first, even seeds the change first, so a
-drift in the machine's speed falls on both sides alike.  Each workload gets
-its own run of --pairs consecutive seeds, the first workload's from
---first-seed on.  The JSON written to --out holds the machine's facts, both
+a time, T being BENCHMARK.json's ``run_seconds``; odd seeds run the parent
+first, even seeds the change first, so a drift in the machine's speed falls
+on both sides alike.  Each workload gets its own PAIRS (10) consecutive
+seeds, the first workload's from --first-seed on: the pairs a claimed gain
+is judged on, at least 9 of 10 won and a median gain above the parent's
+IQR.  The JSON written to --out holds the machine's facts, both
 commits, every run's result line, and per workload and end-to-end metric
 (BENCHMARK.json's ``end_to_end``) each side's median, quartiles (numpy's
 linear percentiles), min and max, the pairs the change won, the median's
@@ -20,8 +22,7 @@ Exits 1 if a run does not print a result line, reads ``correct: false`` or
 has a failed call; the JSON is written first either way.
 
 Usage: python3 benchmarks/pair_bench.py --parent DIR --change DIR --out FILE
-       [--workload W ...] [--pairs N] [--seconds T] [--first-seed S]
-       [--claim WORKLOAD:METRIC]
+       [--workload W ...] [--first-seed S] [--claim WORKLOAD:METRIC]
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import sys
 
 import numpy as np
 
+PAIRS = 10
 
 def _commit(checkout: str) -> str:
     return subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True,
@@ -113,38 +115,35 @@ def main() -> int:
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--out", required=True, help="the BENCH_<N>.json to write")
     ap.add_argument("--workload", action="append", help="workloads, in order (default: all)")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=45.0)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--claim", help="WORKLOAD:METRIC on which a gain is claimed")
     args = ap.parse_args()
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     runs = []
     for i, workload in enumerate(workloads):
-        for seed in range(args.first_seed + i * args.pairs,
-                          args.first_seed + (i + 1) * args.pairs):
+        for seed in range(args.first_seed + i * PAIRS, args.first_seed + (i + 1) * PAIRS):
             for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-                result = _run(checkouts[side], workload, seed, args.seconds)
+                result = _run(checkouts[side], workload, seed, seconds)
                 runs.append({"side": side, "workload": workload, "seed": seed,
                              "result": result})
                 print(f"{workload} seed {seed} {side}: "
                       + (json.dumps(result.get("metrics")) if result else "no result"),
                       flush=True)
 
-    seeds = ", ".join(f"{args.first_seed + i * args.pairs}-"
-                      f"{args.first_seed + (i + 1) * args.pairs - 1} ({w})"
+    seeds = ", ".join(f"{args.first_seed + i * PAIRS}-{args.first_seed + (i + 1) * PAIRS - 1} ({w})"
                       for i, w in enumerate(workloads))
     report = {
         "what": "paired perfbench runs, parent commit against this change"
                 + (f" (gain claimed on {args.claim.replace(':', ' ')})" if args.claim else ""),
-        "command": f"python3 perfbench/run.py --workload W --seed N --seconds "
-                   f"{args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} "
+                   "--trace 0",
         "pairing": f"seeds {seeds}; odd seeds run the parent first, even seeds the change first",
         "parent_commit": _commit(checkouts["parent"]),
         "change_commit": _commit(checkouts["change"]),

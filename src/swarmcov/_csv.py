@@ -35,10 +35,12 @@ the lines genfromtxt skips (blank but for spaces and a "#" comment), and
 parses the rows with np.loadtxt's C parser, which rounds each cell to the
 nearest double, so a table written and read again keeps its bits.  A row
 with an empty or non-numeric cell raises ValueError, as one with a missing
-or extra cell does.
+or extra cell does; the message names the row's line in the file.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -278,47 +280,70 @@ def write_chunks(path, header: str, row_format: str, chunks) -> None:
                          else _percent_rows(row_format, chunk))
 
 
-def _header_names(fh) -> list[str]:
+def _header_names(lines) -> tuple[list[str], int]:
     """The column names on the table's first line, as np.genfromtxt(names=True)
-    reads them, leaving fh at the first row.
+    reads them, and the index of the line after it.
 
     Blank lines before the header are skipped, and the header is the text
     after a "#" when the line has one.  A first name left empty is dropped;
     each name is stripped, its spaces become "_" and the characters of
     _NAME_DROPS go.
     """
-    values = []
-    while not values:
-        line = fh.readline()
-        if not line:
-            return []
+    for k, line in enumerate(lines):
         if "#" in line:
             line = "".join(line.split("#")[1:])
         line = line.strip(" \r\n")
-        values = line.split(",") if line else []
-    if not values[0].strip():
-        del values[0]
-    return ["".join(c for c in v.strip().replace(" ", "_") if c not in _NAME_DROPS)
-            for v in values]
+        if line:
+            values = line.split(",")
+            if not values[0].strip():
+                del values[0]
+            return ["".join(c for c in v.strip().replace(" ", "_") if c not in _NAME_DROPS)
+                    for v in values], k + 1
+    return [], len(lines)
+
+
+def _is_row(line: str) -> bool:
+    return bool(line.split("#")[0].strip(" \r\n"))
+
+
+def _bad_row(path, lines, first: int, dtype) -> str | None:
+    """The first row from lines[first] on that np.loadtxt rejects, named by
+    its line in the file, with loadtxt's reason; None if it takes them all."""
+    for n, line in enumerate(lines[first:], first + 1):
+        if _is_row(line):
+            try:
+                np.loadtxt([line], delimiter=",", dtype=dtype)
+            except ValueError as err:
+                # loadtxt counts the rows it was given, and suggests usecols
+                reason = re.sub(r" at row \d+(?:, column (\d+))?",
+                                lambda m: f" (column {m[1]})" if m[1] else "", str(err))
+                return f"{path}, line {n}: {reason.split(';')[0].rstrip('.')}"
+    return None
 
 
 def read_csv(path, *headers: str) -> np.ndarray:
     """The rows of a table as a structured array of floats, named by its header.
 
     Raises ValueError unless the header is one of ``headers``, and on a row
-    with a missing, extra, empty or non-numeric cell.  Lines that are blank
-    but for spaces and a "#" comment are skipped, as np.genfromtxt skips
-    them; np.loadtxt parses the rest, rounding each cell to the nearest
-    double, as float() does.
+    with a missing, extra, empty or non-numeric cell, naming the row's line
+    in the file.  Lines that are blank but for spaces and a "#" comment are
+    skipped, as np.genfromtxt skips them; np.loadtxt parses the rest,
+    rounding each cell to the nearest double, as float() does.
     """
     with open(path) as fh:
-        names = _header_names(fh)
-        if ",".join(names) not in headers:
-            raise ValueError(f"expected header {' or '.join(headers)}")
-        rows = [line for line in fh if line.split("#")[0].strip(" \r\n")]
+        lines = fh.readlines()
+    names, first = _header_names(lines)
+    if ",".join(names) not in headers:
+        raise ValueError(f"expected header {' or '.join(headers)}")
+    rows = [line for line in lines[first:] if _is_row(line)]
     dtype = [(name, float) for name in names]
-    # loadtxt would warn of a table of no rows; its callers say if that will not do
-    return np.loadtxt(rows, delimiter=",", ndmin=1, dtype=dtype) if rows else np.empty(0, dtype)
+    if not rows:
+        # loadtxt would warn of a table of no rows; its callers say if that will not do
+        return np.empty(0, dtype)
+    try:
+        return np.loadtxt(rows, delimiter=",", ndmin=1, dtype=dtype)
+    except ValueError as err:
+        raise ValueError(_bad_row(path, lines, first, dtype) or str(err)) from None
 
 
 def centers_to_axis(centers: np.ndarray) -> tuple[float, float, int]:

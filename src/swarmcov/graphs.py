@@ -11,6 +11,7 @@ distribution is proportional to 1/f; with e = -1 it is proportional to f
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -40,6 +41,7 @@ __all__ = [
 _BATCH = 1 << 16  # uniforms drawn per batch, for holding times and choices alike
 _CHAIN_SLICE = 8192  # jumps walked per Python list
 _MAX_RESERVED = 1 << 20  # occupation durations reserved at the first chunk, at most
+_STEP_SLOTS = 1 << 18  # slots of the walk's per-vertex step table, at most
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ def propagate(
     return out[0] if np.ndim(t) == 0 else out
 
 
-def _choice_table(degrees) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
     """Cut points and choice rows for the uniform neighbor choice at these degrees.
 
     A uniform u picks neighbor min(int(u * d), d - 1) of a degree-d vertex, a
@@ -191,8 +193,7 @@ def _choice_table(degrees) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     one above it): each cut starts at i / d and moves by ulps until it is that
     double.  ``cuts`` holds the cuts of every degree, sorted and distinct, so
     a uniform's bin b = searchsorted(cuts, u, side="right") fixes its choice
-    at every degree: ``rows[d][b]``, one row per degree, in the smallest
-    unsigned dtype that holds the largest degree's choices.
+    at every degree: ``rows[d][b]``, one compact array per degree.
     """
     d = np.concatenate([np.full(k - 1, k, dtype=np.int64) for k in degrees])
     i = np.concatenate([np.arange(1, k) for k in degrees])
@@ -207,7 +208,7 @@ def _choice_table(degrees) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     for k in degrees:
         row = np.zeros(len(cuts) + 1, dtype=dtype)
         row[1:] = np.searchsorted(u[d == k], cuts, side="right")
-        rows[k] = row
+        rows[k] = array(dtype.char, row.tobytes())
     return cuts, rows
 
 
@@ -239,19 +240,37 @@ def _slot_bins(cuts: np.ndarray):
     return bins
 
 
-def _step_table(g: Graph) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    """The choice table's cuts, and step[v][b]: the neighbor of v that a choice
-    uniform in bin b picks, the row of v's degree composed with v's neighbors.
+def _chain(g: Graph):
+    """The choice table's cuts, and chain(v, bins): the vertices a walk from v
+    enters, one for each choice bin in the list ``bins``.
 
-    The rows share the neighbor lists' int objects, so the table costs its
-    n * (len(cuts) + 1) tuple slots of 8 bytes; len(cuts) is below the sum
-    of d - 1 over the distinct degrees d, so the slots number under
-    n * D**2 / 2 for largest degree D: 50 x 22 on a 50-vertex graph of
-    degrees 1..8, 8.4 M (67 MB) on 300 vertices of degrees 1..299.
+    A choice uniform in bin b takes v to its neighbor rows[deg v][b].  When
+    the per-vertex step table, n * (len(cuts) + 1) slots, fits in
+    _STEP_SLOTS, the chain takes one lookup per jump, step[v][b]: the row of
+    v's degree composed with v's neighbors, built once per walk at 8 bytes a
+    slot (the rows share the neighbor lists' int objects), so at most 2 MB
+    and about 10 ms.  Past it, the chain takes two lookups, the bin's choice
+    in the compact row of v's degree and then that neighbor, and keeps only
+    the rows of the distinct degrees.  Hubs pass the bound, since a star of
+    N leaves has N - 1 cuts, a table of (N + 1) N slots, and so do wide
+    degree ranges: 300 vertices of degrees 1..299 have 27,898 cuts, a table
+    of 8.4 M slots.  A 50-vertex graph of degrees 1..8 has 50 x 22.
     """
     nbrs = [a.tolist() for a in g.neighbor_lists()]
     cuts, rows = _choice_table(np.unique(g.degrees).tolist())
-    return cuts, [tuple(map(nb.__getitem__, rows[len(nb)].tolist())) for nb in nbrs]
+    if len(nbrs) * (len(cuts) + 1) <= _STEP_SLOTS:
+        lists = {d: row.tolist() for d, row in rows.items()}
+        step = [tuple(map(nb.__getitem__, lists[len(nb)])) for nb in nbrs]
+
+        def chain(v, bins):
+            return [v := step[v][b] for b in bins]
+    else:
+        pick = [rows[len(nb)] for nb in nbrs]
+
+        def chain(v, bins):
+            return [v := nbrs[v][pick[v][b]] for b in bins]
+
+    return cuts, chain
 
 
 def iter_ctmc(
@@ -276,10 +295,11 @@ def iter_ctmc(
     Each choice uniform is binned among the cut points of the choice table by
     numpy, slot by slot (_slot_bins), and the vertex chain, the only Python
     loop, takes one table lookup per jump: step[v][b], the vertex entered
-    from v when the choice uniform falls in bin b, built once per walk
-    (_step_table, n * (number of cuts + 1) slots).  The holding times and
-    their running sum (sequential, so each jump time is the rounded t + hold
-    of a per-jump loop) are computed in place of their uniforms.
+    from v when the choice uniform falls in bin b, built once per walk when
+    its n * (number of cuts + 1) slots are at most _STEP_SLOTS, and two
+    lookups past that (_chain).  The holding times and their running sum
+    (sequential, so each jump time is the rounded t + hold of a per-jump
+    loop) are computed in place of their uniforms.
     """
     f = _check_field(g, f)
     e = _check_exponent(exponent)
@@ -296,7 +316,7 @@ def _walk(g, rates, start, t_end, seed, max_jumps):
     yield np.array([0.0]), np.array([start], dtype=np.int64)
     if g.n_vertices == 1:
         return
-    cuts, step = _step_table(g)
+    cuts, chain = _chain(g)
     bins_of = _slot_bins(cuts)
     rng = np.random.default_rng(seed)
     remaining = np.inf if max_jumps is None else int(max_jumps)
@@ -311,8 +331,9 @@ def _walk(g, rates, start, t_end, seed, max_jumps):
         path[0] = v
         for lo in range(0, cap, _CHAIN_SLICE):
             hi = min(lo + _CHAIN_SLICE, cap)
-            bins = bins_of(u_choice[lo:hi]).tolist()
-            path[lo + 1 : hi + 1] = [v := step[v][b] for b in bins]
+            entered = chain(v, bins_of(u_choice[lo:hi]).tolist())
+            path[lo + 1 : hi + 1] = entered
+            v = entered[-1]
         # the holding times, then the jump times, in place of their uniforms;
         # the first jump time is h + t, which is t + h
         jump_t = u_hold[:cap]

@@ -334,6 +334,27 @@ def test_read_csv_rejects_bad_headers_and_rows(tmp_path, text):
             _csv.read_csv(path, "t,vertex")
 
 
+
+BAD_LINES = {
+    "short-row-after-blank-and-comment": ("t,vertex\n1.5,2\n\n# a note\n3\n", 5,
+                                          "requires 2 columns but 1 were found"),
+    "non-numeric-after-leading-blank": ("\nt,vertex\n\n1.5,2\nabc,2\n", 5, "'abc'"),
+    "empty-cell-crlf": ("t,vertex\r\n1.5,2\r\n\r\n1.5,\r\n", 4, "(column 2)"),
+    "long-row": ("t,vertex\n1.5,2\n1,2,3\n", 3, "requires 2 columns but 3 were found"),
+}
+
+
+@pytest.mark.parametrize("text, line, reason", BAD_LINES.values(), ids=BAD_LINES.keys())
+def test_read_csv_names_the_file_line_of_a_bad_row(tmp_path, text, line, reason):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError) as err:
+        _csv.read_csv(path, "t,vertex")
+    where = f"{path}, line {line}: "
+    assert str(err.value).startswith(where)
+    why = str(err.value)[len(where):]
+    assert reason in why and "row" not in why
+
 def _per_row_observations(path):
     """The placement load_observations_csv replaced: one loop over the rows."""
     raw = _csv.read_csv(path, "t,cell_lo,cell_hi,fraction")

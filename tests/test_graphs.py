@@ -1,5 +1,7 @@
 """Graph CTMC: Laplacian, invariant distribution, propagation, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -568,14 +570,20 @@ def _threshold_graph(n):
                           if i + j > n))
 
 
+def _star(leaves):
+    return Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
+
+
+# the star of 2,000 leaves has 1,999 cuts: its table would hold 4 M slots, past _STEP_SLOTS
 @pytest.mark.parametrize(
     "g",
-    [Graph(31, tuple((0, i) for i in range(1, 31))), complete_graph(9), _threshold_graph(40)],
-    ids=["star", "complete", "threshold-40"],
+    [_star(30), complete_graph(9), _threshold_graph(40), _star(2000)],
+    ids=["star", "complete", "threshold-40", "hub-star-2000"],
 )
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("t_end, max_jumps", [(np.inf, 500), (150.0, None), (150.0, 700)])
-def test_per_vertex_table_walk_equals_per_jump_walk(g, seed, t_end, max_jumps):
+@pytest.mark.parametrize("step_slots", [gr._STEP_SLOTS, 0], ids=["bound", "two-lookups"])
+def test_per_vertex_table_walk_equals_per_jump_walk(g, seed, t_end, max_jumps, step_slots):
     if g.n_vertices == 40:
         assert set(g.degrees.tolist()) == set(range(1, 40))
     f = np.linspace(0.5, 3.0, g.n_vertices)
@@ -583,19 +591,37 @@ def test_per_vertex_table_walk_equals_per_jump_walk(g, seed, t_end, max_jumps):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gr, "_BATCH", 37)
         mp.setattr(gr, "_CHAIN_SLICE", 11)
+        mp.setattr(gr, "_STEP_SLOTS", step_slots)
         got = sample_ctmc(g, f, 1.3, 1, t_end, seed, -1, max_jumps)
     assert got.n_jumps > 3 * 37
     _assert_same_path(got, want)
 
 
-def test_per_vertex_table_holds_each_vertex_choice():
-    # step[v][b] is the neighbor min(int(u * d), d - 1) for every u of bin b
+@pytest.mark.parametrize("step_slots", [gr._STEP_SLOTS, 0], ids=["table", "two-lookups"])
+def test_chain_takes_each_vertex_choice(step_slots, monkeypatch):
+    # from v, a bin b enters the neighbor min(int(u * d), d - 1) for every u of the bin
+    monkeypatch.setattr(gr, "_STEP_SLOTS", step_slots)
     g = _threshold_graph(40)
-    cuts, step = gr._step_table(g)
+    cuts, chain = gr._chain(g)
     nbrs = g.neighbor_lists()
     u = np.concatenate([[0.0], cuts])  # the least u of each bin
     bins = np.searchsorted(cuts, u, side="right")
     assert bins.tolist() == list(range(len(cuts) + 1))
     for v, nb in enumerate(nbrs):
         d = len(nb)
-        assert list(step[v]) == nb[np.minimum((u * d).astype(np.int64), d - 1)].tolist()
+        got = [chain(v, [b])[0] for b in bins.tolist()]
+        assert got == nb[np.minimum((u * d).astype(np.int64), d - 1)].tolist()
+
+
+def test_hub_star_chain_keeps_the_per_degree_rows():
+    # a per-vertex table for 3,000 leaves would hold 3,001 x 3,000 slots (72 MB);
+    # past _STEP_SLOTS the chain keeps two rows of 3,000 choices
+    g = _star(3000)
+    assert g.n_vertices * g.n_vertices > gr._STEP_SLOTS
+    tracemalloc.start()
+    try:
+        gr._chain(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
