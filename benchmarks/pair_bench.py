@@ -28,16 +28,19 @@ Usage: python3 benchmarks/pair_bench.py --parent DIR --change DIR --out FILE
 from __future__ import annotations
 
 import argparse
+import glob
 import importlib.util
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 
 PAIRS = 10
+
 
 def _commit(checkout: str) -> str:
     return subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"], capture_output=True,
@@ -54,7 +57,14 @@ def _machine() -> dict:
 
 
 def _run(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
-    """One benchmark run's result line, or None if it printed none."""
+    """One benchmark run's result line, or None if it printed none.
+
+    The checkout's __pycache__ directories go first, so each run compiles
+    the package as a fresh checkout does: a cache left in one checkout
+    would make that side's set-up probes cheaper and its peak RSS lower.
+    """
+    for cache in glob.glob(os.path.join(checkout, "**", "__pycache__"), recursive=True):
+        shutil.rmtree(cache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
