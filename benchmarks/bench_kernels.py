@@ -8,7 +8,10 @@ law has.  The 2D step and the domain check run twice on one swarm: as a
 C-ordered (n, 2) array and column-major, the layout sde.simulate keeps; the
 two must agree bit for bit.  The interp2 row interpolates a 33x33 node grid
 (the benchmark's CSV field size) at 1e5 points and must match, bit for bit,
-the per-corner formula it replaced, kept here as the reference.
+the per-corner formula it replaced, kept here as the reference.  The
+two-bump gradient row takes the field's gradient at 1e5 column-major points,
+beside the masked gather/scatter bump formula it replaced, kept here as the
+reference; the two must agree bit for bit.
 The FV march rows step pure diffusion with the one finite-volume march,
 _pde_kernels.march: 1D on --cells cells and 2D on a square of about as many.
 The inverse-solve rows run at the est_sin settings (25 observation times
@@ -54,8 +57,9 @@ exceeds a threshold, so a step whose temporaries pass it faults them in
 again) and tracemalloc's peak over one call, beside the same run with the
 stepping it replaced, kept here as the reference: a Generator built per
 step, a noise array and its column-major copy per step, the laws evaluated
-on the whole swarm (for zero drift, the law's allocating c1/sqrt(F) + c2),
-the allocating step and reflection, and the stop/go switch applied by masks.
+on the whole swarm (for the diffusion law, its allocating c1/sqrt(F) + c2
+and, with drift, c2*D*grad(F)/F from a second evaluation of the field), the
+allocating step and reflection, and the stop/go switch applied by masks.
 The final positions and modes must match the reference's bit for bit.
 The CLI rows print tracemalloc's peak over whole coverage and estimate calls
 shaped like the agents benchmark's (1e5 agents on the two-bump and a CSV grid
@@ -84,7 +88,11 @@ import tempfile
 import time
 import tracemalloc
 
-import numpy as np
+# before numpy loads OpenBLAS: its idle threads would spin through every BLAS
+# call (propagate's eigh) on a machine with few cores
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 from scipy.linalg import expm
 from scipy.optimize import nnls
 
@@ -204,12 +212,53 @@ def reference_reflect(x, lo, hi):
     return r
 
 
-def reference_simulate(config, laws, domain, D=None):
+def two_closure_motion(field, c1, c2):
+    """The diffusion law's D and drift as it computed them before one motion
+    call gave both: allocating, c1/sqrt(F) + c2 and, with c2 > 0,
+    c2*D*grad(F)/F from a second evaluation of the field."""
+
+    def motion(pts):
+        D = c1 / np.sqrt(field.eval(pts)) + c2
+        if not c2:
+            return D, None
+        return D, (c2 * D / field.eval(pts))[:, None] * field.gradient(pts)
+
+    return motion
+
+
+def bump_terms_reference(pts, a, b):
+    """The masked bump formula fields._bump replaced: exp(-1/(1 - |a*x - b|^2))
+    and its gradient, gathered on the points inside the support and
+    scattered back."""
+    z = a * pts - b
+    u = np.sum(z * z, axis=1)
+    inside = u < 1.0
+    f = np.zeros(pts.shape[0])
+    g = np.zeros_like(pts)
+    if inside.any():
+        ui = u[inside]
+        fi = np.exp(-1.0 / (1.0 - ui))
+        f[inside] = fi
+        scale = -2.0 * a * fi / (1.0 - ui) ** 2
+        g[inside] = scale[:, None] * z[inside]
+    return f, g
+
+
+def two_bump_gradient_reference(pts):
+    """The two-bump field's gradient from the masked bump formula."""
+    f1, g1 = bump_terms_reference(pts, 2.0, 1.0)
+    f2, g2 = bump_terms_reference(pts, 6.0, 2.0)
+    grad = g1 - g2
+    grad[f1 - f2 <= 0.0] = 0.0
+    return grad
+
+
+def reference_simulate(config, laws, domain, motion=None):
     """simulate's loop as it was: a Generator per step, a noise array and its
     column-major copy per step, the laws evaluated on the whole swarm and the
     allocating step, with the stop/go switch applied by masks; returns the
-    final positions and modes.  D replaces laws.D when given: the zero-drift
-    runs pass the allocating c1/sqrt(F) + c2 the diffusion law had."""
+    final positions and modes.  motion replaces laws.motion when given: the
+    diffusion-law runs pass two_closure_motion."""
     positions = np.asfortranarray(sde._initial_positions(config, domain))
     n, d = positions.shape
     modes = np.ones(n, dtype=np.uint8)
@@ -218,9 +267,8 @@ def reference_simulate(config, laws, domain, D=None):
         key = np.array([np.uint64(config.seed), np.uint64(step)], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         noise = np.asfortranarray(rng.standard_normal((n, d)))
-        drift = None if laws.a is None else laws.a(positions)
-        moved = reference_step_active(positions, (D or laws.D)(positions), dt, noise, lo, hi,
-                                      drift)
+        D, drift = (motion or laws.motion)(positions)
+        moved = reference_step_active(positions, D, dt, noise, lo, hi, drift)
         if not laws.switching:
             positions = moved
             continue
@@ -274,34 +322,32 @@ def simulate_rows(repeats: int) -> None:
     gaussian = GaussianInit((0.5, 0.5), 0.1)
     two_bump, grid_field, sine = two_bump_field(), GridField((nodes, nodes), bumps), sine_field()
 
-    def zero_drift(field, c1):
-        # the law, and the allocating c1/sqrt(F) + c2 (c2 = 0) it replaced
-        return (field, diffusion_coverage_law(field, c1),
-                lambda pts: c1 / np.sqrt(field.eval(pts)) + 0.0)
+    def diffusion(field, c1, c2=0.0):
+        # the law, and the two-closure law it replaced
+        return field, diffusion_coverage_law(field, c1, c2), two_closure_motion(field, c1, c2)
 
     runs = [
-        ("two-bump, 1e5 agents, 2D", *zero_drift(two_bump, 1e-5),
+        ("two-bump, 1e5 agents, 2D", *diffusion(two_bump, 1e-5),
          SimConfig(100_000, 2e5, 4e6, 11, (4e6,), gaussian)),
-        ("33x33 CSV grid, 1e5 agents, 2D", *zero_drift(grid_field, 1e-5),
+        ("33x33 CSV grid, 1e5 agents, 2D", *diffusion(grid_field, 1e-5),
          SimConfig(100_000, 2e5, 4e6, 12, (4e6,), gaussian)),
-        ("sine, 1e4 agents, 1D", *zero_drift(sine, 0.5),
+        ("sine, 1e4 agents, 1D", *diffusion(sine, 0.5),
          SimConfig(10_000, 2e-3, 0.4, 13, (0.4,), UniformInit())),
-        ("drift c2 = 0.1, two-bump, 1e5 agents, 2D", two_bump,
-         diffusion_coverage_law(two_bump, 0.05, 0.1), None,
+        ("drift c2 = 0.1, two-bump, 1e5 agents, 2D", *diffusion(two_bump, 0.05, 0.1),
          SimConfig(100_000, 1e-3, 0.02, 14, (0.02,), gaussian)),
         ("reaction, two-bump, 1e5 agents, 2D", two_bump,
          reaction_coverage_law(two_bump, 0.05, 100.0, 50.0), None,
          SimConfig(100_000, 1e-3, 0.02, 15, (0.02,), gaussian)),
     ]
     print(f"{'simulate':<64} {'per step':>10} {'faults/step':>12} {'traced peak':>12}")
-    for label, field, laws, D, config in runs:
+    for label, field, laws, motion, config in runs:
         steps = round(config.t_end / config.dt)
         domain = field.domain
         finals = {}
         for name, fn in (
             ("simulate", lambda: (lambda s: (s.positions, s.modes))(
                 simulate(config, laws, domain)[-1])),
-            ("reference", lambda: reference_simulate(config, laws, domain, D)),
+            ("reference", lambda: reference_simulate(config, laws, domain, motion)),
         ):
             finals[name] = [np.ascontiguousarray(a).tobytes() for a in fn()]  # also the warm-up
             samples, faults = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -508,6 +554,7 @@ def main() -> None:
     square = Domain.unit_square()
     nodes = rng.random((33, 33)) + 0.5
     bumps = rng.random((100_000, 2))
+    bumps_f = np.asfortranarray(bumps)
     two_bump = two_bump_field()
 
     nc = args.cells
@@ -630,6 +677,8 @@ def main() -> None:
     contains_f = "Domain.contains (100,000 points, column-major)"
     interp = "interp2 (100,000 points, 33x33 nodes)"
     interp_ref = "interp2 reference, per-corner formula"
+    bump_grad = "two-bump gradient (100,000 points, column-major)"
+    bump_grad_ref = "two-bump gradient, masked formula (reference)"
     pde_closed = f"1D pure-diffusion solve, closed form ({closed.n_steps:,} steps)"
     pde_marched = "1D pure-diffusion solve, marched (50 cells)"
     sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
@@ -658,6 +707,8 @@ def main() -> None:
         ("SDE active step (10,000 agents, 1D)", step(10_000, 1)),
         (f"SDE switching step ({n:,} agents, 2D)", switching(sk.step_switching)),
         ("two-bump field eval (100,000 points)", lambda: two_bump.eval(bumps)),
+        (bump_grad, lambda: two_bump.gradient(bumps_f)),
+        (bump_grad_ref, lambda: two_bump_gradient_reference(bumps_f)),
         (f"histogram binning ({n:,} points, 50x50)", lambda: sk.bin_counts(pos, lo, hi, (50, 50))),
         (
             f"FV diffusion march 1D ({nc} cells x {args.steps} steps)",
@@ -710,6 +761,10 @@ def main() -> None:
     want = interp2_reference(swarm_c[:, 0], swarm_c[:, 1], 0.0, 1 / 32, 0.0, 1 / 32, nodes)
     if got.tobytes() != want.tobytes():
         raise SystemExit("interp2 differs from the per-corner formula")
+    if two_bump.gradient(bumps_f).tobytes() != two_bump_gradient_reference(bumps_f).tobytes():
+        raise SystemExit("two-bump gradient differs from the masked formula")
+    print(f"two-bump gradient: {times[bump_grad_ref] / times[bump_grad]:.1f}x faster than the "
+          f"masked formula, bits identical")
     print(f"column-major 2D swarm: step {times[step_c] / times[step_f]:.1f}x and domain check "
           f"{times[contains_c] / times[contains_f]:.1f}x faster than C order, bits identical; "
           f"interp2 {times[interp_ref] / times[interp]:.1f}x faster than the per-corner "

@@ -71,15 +71,6 @@ def _as_floats(text: str) -> tuple[float, ...]:
     return tuple(_as_float(p) for p in parts)
 
 
-def _as_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @dataclass(frozen=True)
 class Key:
     parse: Callable[[str], Any]

@@ -4,8 +4,9 @@ A field assigns a strictly positive value to every point of a rectangular
 domain; the swarm's job is to match its normalized shape.  Fields come in two
 flavors: closed-form (`AnalyticField`) and sampled on a uniform node grid
 (`GridField`, loadable from CSV).  Control laws map a field to the coefficient
-functions of the agent process: a diffusion coefficient D, an optional drift
-a, and an optional deactivation rate H with companion reactivation rate k.
+functions of the agent process: a diffusion coefficient D and an optional
+drift a, computed together from one evaluation of the field, and an optional
+deactivation rate H with companion reactivation rate k.
 """
 
 from __future__ import annotations
@@ -246,49 +247,45 @@ def quadratic_field() -> AnalyticField:
     return AnalyticField(Domain.unit_interval(), fn, grad_fn, floor=c * 0.01, label="quadratic")
 
 
-def _bump_values(pts: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Compactly supported bump exp(-1/(1 - |a*x - b|^2)), values only.
+def _bump(pts: np.ndarray, a: float, b: float, gradient: bool = False):
+    """Compactly supported bump f = exp(-1/(1 - u)), u = |z|^2, z = a*x - b;
+    with ``gradient``, the pair (f, grad f), grad f = -2a f z / (1 - u)^2.
 
-    Computed in place on the n-sized columns it makes: |z|^2 column by
-    column (the same additions as np.sum(z * z, axis=1)), then the bump
-    formula on every point, whose values outside the support (overflow, or 0
-    on its rim) are then set to zero.  Each inside value is the one the
-    formula gives on the gathered inside points; a masked (where=) loop
+    Computed in place on the n-sized columns it makes: u column by column
+    (the same additions as np.sum(z * z, axis=1)), then the formulas on every
+    point, whose results outside the support (overflow, or 0/0 on its rim)
+    are then set to zero.  Each inside result is the one the formulas give
+    on the gathered inside points; a masked gather/scatter or a where= loop
     would give the same, but runs several times slower when the support
     holds a scattered part of the swarm."""
-    u = np.multiply(pts[:, 0], a)
-    u -= b
-    u *= u
-    t = None
-    for j in range(1, pts.shape[1]):
-        t = np.multiply(pts[:, j], a, out=t)
-        t -= b
-        t *= t
-        u += t
+    # z is kept only for the gradient; for values, one column holds each
+    # z_j and then its square in turn
+    z = np.empty(pts.shape, order="F") if gradient else None
+    u = col = sq = None
+    for j in range(pts.shape[1]):
+        col = np.multiply(pts[:, j], a, out=col if z is None else z[:, j])
+        col -= b
+        if u is None:
+            u = col * col
+        else:
+            sq = np.multiply(col, col, out=col if z is None else sq)
+            u += sq
     outside = ~(u < 1.0)  # NaN lies outside too
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.subtract(1.0, u, out=u)
-        np.divide(-1.0, u, out=u)
-        np.exp(u, out=u)
-    np.copyto(u, 0.0, where=outside)
-    return u
-
-
-def _bump_terms(pts: np.ndarray, a: float, b: float):
-    """Compactly supported bump exp(-1/(1 - |a*x - b|^2)) and its gradient."""
-    z = a * pts - b
-    u = np.sum(z * z, axis=1)
-    inside = u < 1.0
-    f = np.zeros(pts.shape[0])
-    g = np.zeros_like(pts)
-    if inside.any():
-        ui = u[inside]
-        fi = np.exp(-1.0 / (1.0 - ui))
-        f[inside] = fi
-        # d/dx_j exp(-1/(1-u)) = -f * 2a z_j / (1-u)^2
-        scale = -2.0 * a * fi / (1.0 - ui) ** 2
-        g[inside] = scale[:, None] * z[inside]
-    return f, g
+        f = np.divide(-1.0, u, out=None if gradient else u)
+        np.exp(f, out=f)
+        np.copyto(f, 0.0, where=outside)
+        if not gradient:
+            return f
+        scale = np.multiply(-2.0 * a, f)
+        u *= u
+        scale /= u
+    for j in range(z.shape[1]):
+        g = z[:, j]  # a view: the gradient is made in place on z
+        g *= scale
+        np.copyto(g, 0.0, where=outside)
+    return f, z
 
 
 def two_bump_field(background: float = 0.01) -> AnalyticField:
@@ -306,17 +303,20 @@ def two_bump_field(background: float = 0.01) -> AnalyticField:
     a2, b2 = 6.0, 2.0
 
     def fn(pts):
-        f = _bump_values(pts, a1, b1)
-        f -= _bump_values(pts, a2, b2)
+        f = _bump(pts, a1, b1)
+        f -= _bump(pts, a2, b2)
         np.maximum(f, 0.0, out=f)
         f += background
         return f
 
     def grad_fn(pts):
-        f1, g1 = _bump_terms(pts, a1, b1)
-        f2, g2 = _bump_terms(pts, a2, b2)
-        grad = g1 - g2
-        grad[f1 - f2 <= 0.0] = 0.0
+        f, grad = _bump(pts, a1, b1, gradient=True)
+        f2, g2 = _bump(pts, a2, b2, gradient=True)
+        f -= f2
+        grad -= g2
+        clipped = f <= 0.0
+        for j in range(grad.shape[1]):
+            np.copyto(grad[:, j], 0.0, where=clipped)
         return grad
 
     return AnalyticField(
@@ -350,33 +350,21 @@ def normalize(field: ScalarField, resolution: int = 1024) -> ScalarField:
 class ControlLaws:
     """Coefficient functions of the agent process.
 
-    D: diffusion coefficient, positive; evaluated on (n, d) points -> (n,).
-    a: drift velocity, or None for zero; (n, d) points -> (n, d).
-    H: deactivation rate (active agents stop at rate H(x)), or None for zero.
+    motion: (n, d) points -> (D, a), both from one evaluation of the field:
+        D the diffusion coefficient, positive, an (n,) array; a the drift
+        velocity, an (n, d) array, or None for zero drift.
+    H: deactivation rate (active agents stop at rate H(x)), (n, d) points ->
+        (n,), or None for zero.
     k: reactivation rate of stopped agents, nonnegative scalar.
     """
 
-    D: Callable[[np.ndarray], np.ndarray]
-    a: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    motion: Callable[[np.ndarray], tuple[np.ndarray, Optional[np.ndarray]]]
     H: Optional[Callable[[np.ndarray], np.ndarray]] = None
     k: float = 0.0
 
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("reactivation rate k must be nonnegative")
-
-    def D_at(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.D(pts), dtype=float)
-
-    def a_at(self, pts: np.ndarray) -> np.ndarray:
-        if self.a is None:
-            return np.zeros_like(pts)
-        return np.asarray(self.a(pts), dtype=float)
-
-    def H_at(self, pts: np.ndarray) -> np.ndarray:
-        if self.H is None:
-            return np.zeros(pts.shape[0])
-        return np.asarray(self.H(pts), dtype=float)
 
     @property
     def switching(self) -> bool:
@@ -397,27 +385,18 @@ def diffusion_coverage_law(field: ScalarField, c1: float, c2: float = 0.0) -> Co
 
     # in place on the square root, which the law owns (the field's values
     # may be a view of the points); adding c2 = 0 would change no bit
-    def D(pts):
-        d = np.sqrt(field.eval(pts))
-        np.divide(c1, d, out=d)
-        if c2:
-            d += c2
-        return d
+    def motion(pts):
+        F = field.eval(pts)
+        D = np.sqrt(F)
+        np.divide(c1, D, out=D)
+        if not c2:
+            return D, None
+        D += c2
+        s = D * c2
+        s /= F
+        return D, s[:, None] * field.gradient(pts)
 
-    if c2 == 0.0:
-        drift = None
-    else:
-
-        def drift(pts):
-            F = field.eval(pts)
-            s = np.sqrt(F)
-            np.divide(c1, s, out=s)
-            s += c2
-            s *= c2
-            s /= F
-            return s[:, None] * field.gradient(pts)
-
-    return ControlLaws(D=D, a=drift, H=None, k=0.0)
+    return ControlLaws(motion)
 
 
 def reaction_coverage_law(field: ScalarField, c1: float, c2: float, k: float = 1.0) -> ControlLaws:
@@ -431,13 +410,10 @@ def reaction_coverage_law(field: ScalarField, c1: float, c2: float, k: float = 1
     if k <= 0:
         raise ValueError("reactivation rate k must be positive")
 
-    def D(pts):
-        return np.full(pts.shape[0], c1)
-
     def H(pts):
         return c2 * field.eval(pts)
 
-    return ControlLaws(D=D, a=None, H=H, k=k)
+    return ControlLaws(constant_diffusion_law(c1).motion, H=H, k=k)
 
 
 def constant_diffusion_law(D0: float) -> ControlLaws:
@@ -445,10 +421,10 @@ def constant_diffusion_law(D0: float) -> ControlLaws:
     if D0 <= 0:
         raise ValueError("diffusion coefficient must be positive")
 
-    def D(pts):
-        return np.full(pts.shape[0], D0)
+    def motion(pts):
+        return np.full(pts.shape[0], D0), None
 
-    return ControlLaws(D=D, a=None, H=None, k=0.0)
+    return ControlLaws(motion)
 
 
 # ---------------------------------------------------------------------------

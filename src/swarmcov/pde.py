@@ -310,15 +310,14 @@ def decay_rate(
 def coefficients_from_laws(laws: ControlLaws, grid: Grid) -> AdrCoefficients:
     """Sample control laws at cell centers: w = D^2, drift a, stop rate H."""
     pts = grid.center_points()
-    D = laws.D_at(pts)
+    D, av = laws.motion(pts)
     w = GridFunction(grid, (D**2).reshape(grid.shape))
     a = None
-    if laws.a is not None:
-        av = laws.a_at(pts)
+    if av is not None:
         a = tuple(
             GridFunction(grid, av[:, ax].reshape(grid.shape)) for ax in range(grid.dim)
         )
     H = None
     if laws.H is not None:
-        H = GridFunction(grid, laws.H_at(pts).reshape(grid.shape))
+        H = GridFunction(grid, laws.H(pts).reshape(grid.shape))
     return AdrCoefficients(w=w, a=a, H=H, k=laws.k)

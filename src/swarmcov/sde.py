@@ -234,8 +234,10 @@ def iter_snapshots(
     Buffers: the run owns the swarm (``positions``, ``modes``) and the draw
     buffers, each allocated once.  Each step draws the whole swarm's normals,
     and its uniforms when switching, into the draw buffers with ``out=``, in
-    stream order.  It then evaluates the laws (D, drift, H) and the step
-    kernel over blocks of ``_sde_kernels.BLOCK`` agents and writes each block
+    stream order.  It then runs the laws and the step kernel over blocks of
+    ``_sde_kernels.BLOCK`` agents: one ``laws.motion`` call gives a block's D
+    and drift, and, when switching, ``laws.H`` its stop rate (0 for a law
+    without one, whose stopped agents only restart).  Each block is written
     back into its rows of the swarm: an active block in place, a switching
     block through one block-sized scratch buffer.  So every law output and
     kernel temporary is block-sized, whatever the swarm.
@@ -245,7 +247,7 @@ def iter_snapshots(
         raise ConfigError(f"dt*k = {laws.k * dt:g} must stay below 1")
     switching = laws.switching
     if switching:
-        max_h = _probe_max(laws.H_at, domain)
+        max_h = _probe_max(laws.H, domain)
         if max_h * dt >= 1.0:
             raise ConfigError(f"dt*max(H) ~ {max_h * dt:g} must stay below 1")
 
@@ -285,10 +287,10 @@ def iter_snapshots(
             for start in range(0, n, block):
                 rows = slice(start, start + block)
                 pos = positions[rows]  # a view: the block is stepped in place
-                D = laws.D_at(pos)
-                drift = None if laws.a is None else laws.a_at(pos)
+                D, drift = laws.motion(pos)
                 if switching:
-                    _sk.step_switching(pos, modes[rows], D, drift, laws.H_at(pos), k, dt,
+                    H = 0.0 if laws.H is None else laws.H(pos)
+                    _sk.step_switching(pos, modes[rows], D, drift, H, k, dt,
                                        noise[rows], unif[rows], lo, hi,
                                        out=scratch[: pos.shape[0]])
                 else:

@@ -72,11 +72,12 @@ def test_diffusion_law_values():
     dom = Domain.unit_interval()
     flat = AnalyticField(dom, lambda p: np.full(p.shape[0], 0.01), lambda p: np.zeros_like(p), floor=0.01)
     law = diffusion_coverage_law(flat, 1e-5)
-    assert law.D_at(np.array([[0.4]]))[0] == pytest.approx(1e-4, rel=1e-12)
+    assert law.motion(np.array([[0.4]]))[0][0] == pytest.approx(1e-4, rel=1e-12)
     unit = AnalyticField(dom, lambda p: np.ones(p.shape[0]), lambda p: np.zeros_like(p), floor=1.0)
     law2 = diffusion_coverage_law(unit, 1e-5)
-    assert law2.D_at(np.array([[0.4]]))[0] == pytest.approx(1e-5, rel=1e-12)
-    assert law2.a is None  # c2 = 0 means no drift term
+    D, a = law2.motion(np.array([[0.4]]))
+    assert D[0] == pytest.approx(1e-5, rel=1e-12)
+    assert a is None  # c2 = 0 means no drift term
 
 
 def test_diffusion_law_invariance_identity():
@@ -84,14 +85,16 @@ def test_diffusion_law_invariance_identity():
     f = sine_field()
     law = diffusion_coverage_law(f, 0.37)
     pts = np.linspace(0.01, 0.99, 57)[:, None]
-    assert np.allclose(law.D_at(pts) ** 2 * f.eval(pts), 0.37**2, rtol=1e-12)
+    assert np.allclose(law.motion(pts)[0] ** 2 * f.eval(pts), 0.37**2, rtol=1e-12)
 
 
 def test_reaction_law_values():
     f = sine_field()
     law = reaction_coverage_law(f, 0.1, 1.0)
-    assert law.D_at(np.array([[0.2]]))[0] == pytest.approx(0.1)
-    assert law.H_at(np.array([[0.5]]))[0] == pytest.approx(1.5619689393380463, rel=1e-10)
+    D, a = law.motion(np.array([[0.2]]))
+    assert D[0] == pytest.approx(0.1)
+    assert a is None
+    assert law.H(np.array([[0.5]]))[0] == pytest.approx(1.5619689393380463, rel=1e-10)
     assert law.k == 1.0
 
 

@@ -25,8 +25,8 @@ from swarmcov.errors import DomainError
 from swarmcov.fields import (
     AnalyticField,
     GridField,
-    _bump_terms,
     diffusion_coverage_law,
+    sine_field,
     two_bump_field,
 )
 from swarmcov.grids import Domain, Grid, GridFunction
@@ -127,15 +127,42 @@ def test_step_writes_only_into_its_out_buffer(case, dt, seed, with_drift, fortra
         _same_bits(a, b)
 
 
+def _bump_terms(pts, a, b):
+    """The masked bump formula fields._bump replaced: exp(-1/(1 - |a*x - b|^2))
+    and its gradient, gathered on the points inside the support and
+    scattered back."""
+    z = a * pts - b
+    u = np.sum(z * z, axis=1)
+    inside = u < 1.0
+    f = np.zeros(pts.shape[0])
+    g = np.zeros_like(pts)
+    if inside.any():
+        ui = u[inside]
+        fi = np.exp(-1.0 / (1.0 - ui))
+        f[inside] = fi
+        # d/dx_j exp(-1/(1-u)) = -f * 2a z_j / (1-u)^2
+        scale = -2.0 * a * fi / (1.0 - ui) ** 2
+        g[inside] = scale[:, None] * z[inside]
+    return f, g
+
+
+# the bumps' centers and rims, where u is 0 or 1 on the points themselves
+_BUMP_MARKS = [0.0, 1.0, 0.5, 1 / 3, 1 / 6, 0.5 - 1e-9, 1 / 6 + 1e-12]
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(float, st.tuples(st.integers(1, 60), st.just(2)),
-                  elements=st.floats(0.0, 1.0)))
+                  elements=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_BUMP_MARKS))))
 def test_two_bump_values_match_bump_terms(pts):
     field = two_bump_field()
-    f1, _ = _bump_terms(pts, 2.0, 1.0)
-    f2, _ = _bump_terms(pts, 6.0, 2.0)
+    f1, g1 = _bump_terms(pts, 2.0, 1.0)
+    f2, g2 = _bump_terms(pts, 6.0, 2.0)
     expected = np.maximum(f1 - f2, 0.0) + 0.01
-    assert field.eval(pts).tobytes() == expected.tobytes()
+    gradient = g1 - g2
+    gradient[f1 - f2 <= 0.0] = 0.0
+    for x in _both_layouts(pts):
+        _same_bits(field.eval(x), expected)
+        _same_bits(field.gradient(x), gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +305,76 @@ def test_laws_leave_points_alone_when_the_field_returns_views(c2):
     field = AnalyticField(Domain.unit_square(), lambda p: p[:, 0], lambda p: p, floor=0.1)
     pts = np.array([[0.25, 0.64]])
     laws = diffusion_coverage_law(field, 0.5, c2)
-    D = laws.D_at(pts)
+    D, a = laws.motion(pts)
     assert pts.tolist() == [[0.25, 0.64]]
     assert D[0] == 0.5 / np.sqrt(0.25) + c2
     if c2:
-        a = laws.a_at(pts)
-        assert pts.tolist() == [[0.25, 0.64]]
         assert a.tolist() == [[c2 * D[0] / 0.25 * 0.25, c2 * D[0] / 0.25 * 0.64]]
+    else:
+        assert a is None
+
+
+def _two_closure_motion(field, c1, c2, pts):
+    """D and drift as the diffusion law computed them before one motion call
+    gave both: a D closure and a drift closure, each evaluating the field."""
+    D = np.sqrt(field.eval(pts))
+    np.divide(c1, D, out=D)
+    if c2:
+        D += c2
+    if c2 == 0.0:
+        return D, None
+    F = field.eval(pts)
+    s = np.sqrt(F)
+    np.divide(c1, s, out=s)
+    s += c2
+    s *= c2
+    s /= F
+    return D, s[:, None] * field.gradient(pts)
+
+
+class _CountedField:
+    """A field that records each eval and gradient call made on it."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = []
+
+    def eval(self, x):
+        self.calls.append("eval")
+        return self.field.eval(x)
+
+    def gradient(self, x):
+        self.calls.append("gradient")
+        return self.field.gradient(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["sine", "two_bump", "grid"]),
+    st.floats(1e-3, 10.0),
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_motion_matches_the_two_closure_law(kind, c1, c2, n, seed):
+    field = {"sine": sine_field, "two_bump": two_bump_field,
+             "grid": lambda: _grid_field(seed)}[kind]()
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, field.domain.dim))
+    # a few points on the bumps' centers and rims, and on the walls
+    pts[rng.random(pts.shape) < 0.2] = rng.choice(_BUMP_MARKS)
+    counted = _CountedField(field)
+    laws = diffusion_coverage_law(counted, c1, c2)
+    for x in _both_layouts(pts) if pts.shape[1] == 2 else (pts,):
+        want_D, want_a = _two_closure_motion(field, c1, c2, x)
+        counted.calls.clear()
+        D, a = laws.motion(x)
+        assert counted.calls == (["eval", "gradient"] if c2 else ["eval"])
+        _same_bits(D, want_D)
+        if c2:
+            _same_bits(a, want_a)
+        else:
+            assert a is None
 
 
 # ---------------------------------------------------------------------------

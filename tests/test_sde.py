@@ -9,6 +9,7 @@ from swarmcov import _sde_kernels as sk
 from swarmcov import sde
 from swarmcov import (
     ConfigError,
+    ControlLaws,
     Domain,
     GaussianInit,
     Grid,
@@ -104,12 +105,13 @@ def test_one_step_displacement_variance():
 def test_pure_drift_step():
     # active agent with D ~ 0 and unit drift moves by a*dt
     field = sine_field()
-    laws = diffusion_coverage_law(field, 1e-300, 0.0)
+    diffusion = diffusion_coverage_law(field, 1e-300, 0.0)
 
     def unit_drift(pts):
-        return np.ones_like(pts)
+        D, _ = diffusion.motion(pts)
+        return D, np.ones_like(pts)
 
-    laws = type(laws)(D=laws.D, a=unit_drift, H=None, k=0.0)
+    laws = type(diffusion)(unit_drift, H=None, k=0.0)
     cfg = SimConfig(n_agents=1, dt=0.1, t_end=0.1, seed=0, snapshot_times=(0.1,),
                     initial=PointInit(np.array([0.2])))
     (snap,) = _run(cfg, laws)
@@ -124,6 +126,20 @@ def test_no_stopping_without_reaction():
     assert (snap.modes == 1).all()
 
 
+def test_stopped_agents_under_a_law_without_a_stop_rate_only_restart():
+    # a run resumed with stopped agents switches, with a zero stop rate: no
+    # active agent stops, and the stopped ones hold still until they restart
+    motion = constant_diffusion_law(0.1).motion
+    start = SwarmState(0.0, np.full((400, 1), 0.5), np.repeat(np.array([0, 1], np.uint8), 200))
+    cfg = SimConfig(n_agents=400, dt=1e-2, t_end=1.0, seed=3, snapshot_times=(1.0,))
+    (held,) = simulate(cfg, ControlLaws(motion), UNIT, initial_state=start)
+    assert (held.modes == start.modes).all()
+    assert (held.positions[:200] == 0.5).all()
+    (restarted,) = simulate(cfg, ControlLaws(motion, k=5.0), UNIT, initial_state=start)
+    assert (restarted.modes[200:] == 1).all()
+    assert (restarted.modes[:200] == 1).mean() > 0.9
+
+
 def test_switching_reaches_mode_balance():
     # H constant = 2, k = 1: stationary active fraction is k/(H+k) = 1/3
     field = sine_field()
@@ -132,7 +148,7 @@ def test_switching_reaches_mode_balance():
     def H2(pts):
         return np.full(pts.shape[0], 2.0)
 
-    laws = type(law0)(D=law0.D, a=None, H=H2, k=1.0)
+    laws = type(law0)(law0.motion, H=H2, k=1.0)
     cfg = SimConfig(n_agents=20_000, dt=5e-3, t_end=8.0, seed=9, snapshot_times=(8.0,),
                     initial=UniformInit())
     (snap,) = _run(cfg, laws)
