@@ -12,13 +12,13 @@ finite t_end cuts the chain in its third batch, the same graph with a jump
 cap that ends it first, and a one-vertex graph with a finite t_end), two
 edge-list graphs for the sampler's per-vertex step table (a star whose hub
 has degree 30, and a 40-vertex threshold graph of degrees 1..39 whose t_end
-cuts the chain in its third batch), one star of 600 leaves whose table
-would pass its bound, so that its chain takes two lookups per jump, and an
-[observations] estimate whose
-table has a spaced header, a blank line and a comment line, against the
-source tree given by --src, one run at a time, each writing to its own
-directory under --out.  Prints one "sha256  run/file" line per artifact,
-sorted by file.  Run it on two source trees and diff the lists: a change that
+cuts the chain in its third batch), a 300-vertex random graph of degrees
+1..9 whose table walk enters vertex ids past a byte, one star of 600 leaves
+whose table would pass its bound, so that its chain walks per jump, and an
+[observations] estimate whose table has a spaced header, a blank line and a
+comment line, against the source tree given by --src, one run at a time,
+each writing to its own directory under --out.  Prints one "sha256
+run/file" line per artifact, sorted by file.  Run it on two source trees and diff the lists: a change that
 keeps every artifact byte for byte prints the same list.
 
 The bundled est_* runs take minutes each, so this is kept out of the test
@@ -153,10 +153,11 @@ INPUTS = {
                                          + ["", "# the last three times"] + _OBS_ROWS[6:]) + "\n",
 }
 
-# the walk's graphs: the star of 30 leaves and the threshold graph, with a
-# t_end that cuts its chain in a later batch, take the per-vertex step table;
-# the star of 600 leaves, whose table would hold 601 x 600 slots, past
-# graphs._STEP_SLOTS, takes two lookups per jump
+# the walk's graphs: the star of 30 leaves, the threshold graph, with a t_end
+# that cuts its chain in a later batch, and the 300-vertex random graph, whose
+# ids pass a byte, take the per-vertex step table; the star of 600 leaves,
+# whose table would hold 601 x 600 slots, past graphs._STEP_SLOTS, walks per
+# jump
 WALKED = {
     "graph_star30": """
 [graph]
@@ -194,6 +195,27 @@ times = 0.5, 2.0
 start = 5
 seed = 40
 t_end = 9000
+""",
+    "graph_random300": """
+[graph]
+kind = random
+n = 300
+extra_edges = 150
+seed = 300
+
+[rates]
+c = 1.0
+exponent = -1
+values = """ + ", ".join(f"{0.5 + 0.005 * i:g}" for i in range(300)) + """
+
+[propagate]
+p0 = vertex:0
+times = 0.5
+
+[sample]
+start = 0
+seed = 301
+max_jumps = 100000
 """,
     "graph_star600": """
 [graph]

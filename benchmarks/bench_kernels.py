@@ -28,19 +28,19 @@ The graph rows sample a jump chain at the size the solvers benchmark's random
 graph runs (50 vertices, 99 edges, exponent -1, 3e5 jumps) with sample_ctmc,
 which walks the chain from a choice table, and with the per-jump walk it
 replaced, kept here as the reference; the two must return the same times and
-vertices, bit for bit.  They also write the chain as CSV, propagate the master
-equation to 5 times, which must match scipy.linalg.expm of the generator to
-1e-10 relative.  The chain set-up rows build the walk's chain
-(graphs._chain) on each side of its bound on the per-vertex step table
-(_STEP_SLOTS): the 50-vertex graph and a star of 400 leaves take the table,
-a star of 10,000 leaves and a 300-vertex graph whose degrees are 1..299 (a
-wide degree range) the per-degree rows and two lookups per jump; each
-prints which, the slots a table would hold and tracemalloc's peak over the
-set-up.  A sampling row walks the wide graph 3e5 jumps by two lookups,
-which must match the per-jump walk bit for bit.  The binning rows put 8192 uniforms in the bins
-of the choice table's cuts, at the 50-vertex graph's and at the wide graph's,
-by slots (_slot_bins, which the sampler uses) and by np.searchsorted, kept
-here as the reference; the bins must be the same.
+vertices, bit for bit.  Two more sampling rows do the same on 300 vertices:
+a random graph of degrees 1..9, under the bound on the per-vertex step table
+(_STEP_SLOTS) with vertex ids past a byte, and a graph whose degrees are
+1..299 (a wide degree range), past it, where sample_ctmc walks per jump.
+They also write the chain as CSV, propagate the master equation to 5 times,
+which must match scipy.linalg.expm of the generator to 1e-10 relative.  The
+chain set-up rows build the walk's chain (graphs._chain) on each side of the
+bound: the two graphs above, the 50-vertex graph and stars of 400 and 10,000
+leaves; each prints which walk it takes, the bound on its table's slots and
+tracemalloc's peak over the set-up.  The binning rows put 8192 uniforms
+in the bins of the choice table's cuts, at the 50-vertex graph's and at the
+star of 400 leaves', by slots (_slot_bins, which the sampler uses) and by
+np.searchsorted, kept here as the reference; the bins must be the same.
 The reader row reads a 750-row observation table (25 times, 30 cells) with
 read_csv, which parses it with np.loadtxt, and with np.genfromtxt, the
 reader it replaced, kept here as the reference; the two must read the same
@@ -627,6 +627,10 @@ def main() -> None:
     gf = rng.uniform(0.5, 2.0, 50)
     jumps = 300_000
     chain = gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)
+    # a 300-vertex random graph of degrees 1..9: a step table of 300 x 28 slots,
+    # with vertex ids past a byte
+    mid = gr.random_connected_graph(300, 150, np.random.default_rng(300))
+    assert np.unique(mid.degrees).tolist() == list(range(1, 10))
     # vertices 1..300, i ~ j when i + j > 300: the degrees are 1..299
     wide = gr.Graph(300, tuple((i - 1, j - 1) for i in range(1, 301) for j in range(i + 1, 301)
                                if i + j > 300))
@@ -634,13 +638,23 @@ def main() -> None:
     assert wide_degrees == list(range(1, 300))
     star_graphs = {leaves: gr.Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
                    for leaves in (400, 10_000)}
-    chain_graphs = {"50 vertices": graph, "star of 400 leaves": star_graphs[400],
+    chain_graphs = {"50 vertices": graph, "300 vertices, degrees 1..9": mid,
+                    "star of 400 leaves": star_graphs[400],
                     "star of 10,000 leaves": star_graphs[10_000],
                     "300 vertices, degrees 1..299": wide}
     wf = np.linspace(0.5, 2.0, 300)
+    # graph, field, seed and the labels of its sampling row and its reference's
+    sampled = {
+        "50 vertices": (graph, gf, 11, f"sample_ctmc (50 vertices, {jumps:,} jumps)",
+                        "sample_ctmc, per-jump walk (reference)"),
+        "300 vertices": (mid, wf, 13, f"sample_ctmc (300 vertices, degrees 1..9, {jumps:,} jumps)",
+                         "sample_ctmc, 300 vertices, per-jump walk (reference)"),
+        "wide graph": (wide, wf, 12, f"sample_ctmc (300 vertices, degrees 1..299, {jumps:,} jumps)",
+                       "sample_ctmc, wide graph, per-jump walk (reference)"),
+    }
     uniforms = np.random.default_rng(1).random(8192)
     binned = {}
-    for name, cut_graph in (("50 vertices", graph), ("wide graph", wide)):
+    for name, cut_graph in (("50 vertices", graph), ("star of 400 leaves", star_graphs[400])):
         cuts, _ = gr._choice_table(np.unique(cut_graph.degrees).tolist())
         binned[name] = (len(cuts), gr._slot_bins(cuts), cuts)
     p_start = rng.random(50)
@@ -681,11 +695,7 @@ def main() -> None:
     bump_grad_ref = "two-bump gradient, masked formula (reference)"
     pde_closed = f"1D pure-diffusion solve, closed form ({closed.n_steps:,} steps)"
     pde_marched = "1D pure-diffusion solve, marched (50 cells)"
-    sampler = f"sample_ctmc (50 vertices, {jumps:,} jumps)"
-    sampler_ref = "sample_ctmc, per-jump walk (reference)"
     setups = {name: f"chain set-up, {name}" for name in chain_graphs}
-    wide_sampler = f"sample_ctmc (300 vertices, degrees 1..299, {jumps:,} jumps)"
-    wide_ref = "sample_ctmc, wide graph, per-jump walk (reference)"
     bin_rows = {name: (f"slot binning, 8192 uniforms, {n:,} cuts ({name})",
                        f"searchsorted, 8192 uniforms, {n:,} cuts (reference)")
                 for name, (n, _, _) in binned.items()}
@@ -724,11 +734,13 @@ def main() -> None:
             f"FV diffusion march 2D ({n2}x{n2} cells x {args.steps} steps)",
             lambda: pk.march(y2, None, w2, None, 0.0, 0.0, (h2, h2), dt2, args.steps),
         ),
-        (sampler, lambda: gr.sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
-        (sampler_ref, lambda: per_jump_sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)),
+        *((label, lambda g=g, f=f, seed=seed: gr.sample_ctmc(g, f, 1.0, 0, np.inf, seed, -1,
+                                                             jumps))
+          for g, f, seed, label, _ in sampled.values()),
+        *((ref, lambda g=g, f=f, seed=seed: per_jump_sample_ctmc(g, f, 1.0, 0, np.inf, seed, -1,
+                                                                 jumps))
+          for g, f, seed, _, ref in sampled.values()),
         *((setups[name], lambda g=g: gr._chain(g)) for name, g in chain_graphs.items()),
-        (wide_sampler, lambda: gr.sample_ctmc(wide, wf, 1.0, 0, np.inf, 12, -1, jumps)),
-        (wide_ref, lambda: per_jump_sample_ctmc(wide, wf, 1.0, 0, np.inf, 12, -1, jumps)),
         *((label, lambda b=b: b(uniforms))
           for (label, _), (_, b, _) in zip(bin_rows.values(), binned.values())),
         *((label, lambda c=c: np.searchsorted(c, uniforms, side="right"))
@@ -791,28 +803,21 @@ def main() -> None:
     if rel > 1e-10:
         raise SystemExit(f"propagate differs from expm by {rel:.1e} relative")
     print(f"propagate: {rel:.1e} largest relative difference from expm")
-    reference = per_jump_sample_ctmc(graph, gf, 1.0, 0, np.inf, 11, -1, jumps)
-    for name in ("times", "vertices"):
-        if getattr(chain, name).tobytes() != getattr(reference, name).tobytes():
-            raise SystemExit(f"sample_ctmc {name} differ from the per-jump walk's")
-    print(f"graph chain: {times[sampler] / jumps * 1e6:.3f} us per jump sampled, "
-          f"{times[sampler_ref] / times[sampler]:.1f}x faster than the per-jump walk, "
-          f"bits identical; {times[writer] / jumps * 1e6:.3f} us per row written")
-    got = gr.sample_ctmc(wide, wf, 1.0, 0, np.inf, 12, -1, jumps)
-    reference = per_jump_sample_ctmc(wide, wf, 1.0, 0, np.inf, 12, -1, jumps)
-    for name in ("times", "vertices"):
-        if getattr(got, name).tobytes() != getattr(reference, name).tobytes():
-            raise SystemExit(f"sample_ctmc {name} on the wide graph differ from the "
-                             "per-jump walk's")
-    print(f"wide graph chain, two lookups: {times[wide_sampler] / jumps * 1e6:.3f} us per jump "
-          f"sampled, set-up included, against {times[wide_ref] / jumps * 1e6:.3f} for the "
-          "per-jump walk, bits identical")
+    for name, (g, f, seed, label, ref) in sampled.items():
+        got = chain if g is graph else gr.sample_ctmc(g, f, 1.0, 0, np.inf, seed, -1, jumps)
+        reference = per_jump_sample_ctmc(g, f, 1.0, 0, np.inf, seed, -1, jumps)
+        for column in ("times", "vertices"):
+            if getattr(got, column).tobytes() != getattr(reference, column).tobytes():
+                raise SystemExit(f"sample_ctmc {column} ({name}) differ from the per-jump walk's")
+        print(f"{label}: {times[label] / jumps * 1e6:.3f} us per jump sampled, set-up included, "
+              f"against {times[ref] / jumps * 1e6:.3f} for the per-jump walk, bits identical")
+    print(f"{writer}: {times[writer] / jumps * 1e6:.3f} us per row written")
     for name, g in chain_graphs.items():
-        cuts, _ = gr._choice_table(np.unique(g.degrees).tolist())
-        slots = g.n_vertices * (len(cuts) + 1)
-        walk = "step table" if slots <= gr._STEP_SLOTS else "two lookups (past the bound)"
+        degrees = np.unique(g.degrees)
+        slots = g.n_vertices * int((degrees - 1).sum() + 1)
+        walk = "step table" if slots <= gr._STEP_SLOTS else "per jump (past the bound)"
         peak = traced_peak_mb(lambda g=g: gr._chain(g))
-        print(f"{setups[name]}: {walk}, {len(cuts):,} cut points, {slots:,} table slots, "
+        print(f"{setups[name]}: {walk}, {slots:,} table slots at most, "
               f"{times[setups[name]] * 1e3:.1f} ms, traced peak {peak:.1f} MB")
     for name, (n, bins_of, cuts) in binned.items():
         label, ref = bin_rows[name]

@@ -15,6 +15,10 @@ fraction gives the 17 significant digits.  r is off by less than 1e-14, so
 only a fraction within 1e-9 of 1/2 could round the wrong way: those cells,
 the non-finite ones and those outside the range are printed by ``%``, as are
 tables with a ``%s`` field.  Digits come four at a time from a lookup table.
+A chunk whose floats share one exponent takes one power of ten, broadcast.
+A float's last nonzero digit comes from its 16 digits after the first: their
+nonzero flags, read as two little-endian 64-bit words, have their highest
+set byte where ``np.frexp`` of the word gives an exponent of 8k + 1.
 
 Each cell has a slot of fixed columns for every character its text may need:
 "-0.000", the 17 digits with a "." after each but the last, "e-XX" and the
@@ -27,7 +31,8 @@ a cell left to ``%`` keeps the whole slot.  The kept columns of every field
 make one (rows x width) byte matrix, a keep mask drops the characters each
 cell does not print, and one boolean index joins the chunk.  An int cell's
 digit count is one plus the powers of ten, up to the chunk's widest cell's,
-that it reaches.
+that it reaches; a column whose widest cell has at most 4 digits takes them
+from one lookup of its cells' values.
 
 ``read_csv`` reads the header line itself, as np.genfromtxt(names=True)
 reads one (a leading "#" and the spaces around names are allowed), skips
@@ -122,6 +127,8 @@ def _scaled(a, X):
     integer part is still below 10**16, which is all a caller needs of it.
     """
     q = 16 - X
+    if q.min() == q.max():
+        q = q[:1]  # one exponent: its powers of ten broadcast
     hi, lo = _P_HI.take(q, mode="clip"), _P_LO.take(q, mode="clip")
     hh, hl = _P_HH.take(q, mode="clip"), _P_HL.take(q, mode="clip")
     ah, al = _split(a)
@@ -157,8 +164,10 @@ def _float_cells(x, sep):
     d0 = N // _E16
     low = N - d0 * _E16
     rest = _digits16(low)
-    # z: the last nonzero digit, d0 for 0 and for N = d0 * 10**16
-    z = np.where(low == 0, 0, 16 - np.argmax((rest != 48)[:, ::-1], axis=1))
+    # z: the last nonzero digit, d0 for 0 and for N = d0 * 10**16; frexp gives
+    # 8k + 1 for a flag word whose highest set byte is k, and 0 for no flag
+    e = np.frexp((rest != 48).view("<u8").astype(np.float64))[1]
+    z = (np.where(e[:, 1] > 0, 64 + e[:, 1], e[:, 0]) + 7) >> 3
     row = np.clip((X + 11) * 17 + z, 0, len(_FLOAT_KEEP) - 1)
     neg = np.signbit(x)
     unsettled = np.flatnonzero(
@@ -207,8 +216,9 @@ def _int_cells(v, sep):
     keep[0] = neg.any()
     cols = np.flatnonzero(keep)
     groups = -(-width // 4)
-    # the last 4 * groups digits, four at a time
-    quads = np.stack([mag // 10 ** (4 * k) % 10**4 for k in range(groups - 1, -1, -1)], axis=1)
+    # the last 4 * groups digits, four at a time: one group is the cells themselves
+    quads = mag[:, None] if groups == 1 else np.stack(
+        [mag // 10 ** (4 * k) % 10**4 for k in range(groups - 1, -1, -1)], axis=1)
 
     def put(M, K):
         M[:, int(keep[0]):-1] = _DIGITS4.take(quads).view(np.uint8)[:, 4 * groups - width:]

@@ -11,7 +11,6 @@ distribution is proportional to 1/f; with e = -1 it is proportional to f
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -184,7 +183,7 @@ def propagate(
     return out[0] if np.ndim(t) == 0 else out
 
 
-def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
+def _choice_table(degrees) -> tuple[np.ndarray, dict[int, list[int]]]:
     """Cut points and choice rows for the uniform neighbor choice at these degrees.
 
     A uniform u picks neighbor min(int(u * d), d - 1) of a degree-d vertex, a
@@ -193,7 +192,7 @@ def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
     one above it): each cut starts at i / d and moves by ulps until it is that
     double.  ``cuts`` holds the cuts of every degree, sorted and distinct, so
     a uniform's bin b = searchsorted(cuts, u, side="right") fixes its choice
-    at every degree: ``rows[d][b]``, one compact array per degree.
+    at every degree: ``rows[d][b]``.
     """
     d = np.concatenate([np.full(k - 1, k, dtype=np.int64) for k in degrees])
     i = np.concatenate([np.arange(1, k) for k in degrees])
@@ -203,12 +202,7 @@ def _choice_table(degrees) -> tuple[np.ndarray, dict[int, array]]:
     while (high := np.nextafter(u, 0.0) * d >= i).any():
         u[high] = np.nextafter(u[high], 0.0)
     cuts = np.unique(u)
-    dtype = np.min_scalar_type(max(degrees) - 1)
-    rows = {}
-    for k in degrees:
-        row = np.zeros(len(cuts) + 1, dtype=dtype)
-        row[1:] = np.searchsorted(u[d == k], cuts, side="right")
-        rows[k] = array(dtype.char, row.tobytes())
+    rows = {k: [0] + np.searchsorted(u[d == k], cuts, side="right").tolist() for k in degrees}
     return cuts, rows
 
 
@@ -241,36 +235,46 @@ def _slot_bins(cuts: np.ndarray):
 
 
 def _chain(g: Graph):
-    """The choice table's cuts, and chain(v, bins): the vertices a walk from v
-    enters, one for each choice bin in the list ``bins``.
+    """chain(v, u): the list of vertices a walk from v enters, one for each
+    choice uniform in the array u, each the neighbor min(int(u * d), d - 1)
+    of the vertex it leaves, d that vertex's degree.
 
-    A choice uniform in bin b takes v to its neighbor rows[deg v][b].  When
-    the per-vertex step table, n * (len(cuts) + 1) slots, fits in
-    _STEP_SLOTS, the chain takes one lookup per jump, step[v][b]: the row of
-    v's degree composed with v's neighbors, built once per walk at 8 bytes a
-    slot (the rows share the neighbor lists' int objects), so at most 2 MB
-    and about 10 ms.  Past it, the chain takes two lookups, the bin's choice
-    in the compact row of v's degree and then that neighbor, and keeps only
-    the rows of the distinct degrees.  Hubs pass the bound, since a star of
-    N leaves has N - 1 cuts, a table of (N + 1) N slots, and so do wide
-    degree ranges: 300 vertices of degrees 1..299 have 27,898 cuts, a table
-    of 8.4 M slots.  A 50-vertex graph of degrees 1..8 has 50 x 22.
+    While the per-vertex step table fits in _STEP_SLOTS, the chain bins the
+    uniforms among the choice table's cuts (_slot_bins) and takes one lookup
+    per jump, step[v][b]: the row of v's degree composed with v's neighbors,
+    built once per walk at 8 bytes a slot (the rows share the neighbor lists'
+    int objects), so at most 2 MB and about 10 ms.  The bins come as bytes
+    while they fit in one.  The table has n * (#cuts + 1) slots, and a degree
+    d adds at most d - 1 cuts, so n * (sum of d - 1 over the distinct degrees
+    + 1) bounds it before anything is built.  Past that the chain takes the
+    neighbor index itself, int(u * d), in v's neighbor list padded with its
+    last neighbor (u = 1.0 gives index d), and builds no cuts.  Hubs pass the
+    bound, since a star of N leaves has N - 1 cuts, a table of (N + 1) N
+    slots, and so do wide degree ranges: 300 vertices of degrees 1..299 have
+    27,898 cuts, a table of 8.4 M slots.  A 50-vertex graph of degrees 1..8
+    has 50 x 22.
     """
     nbrs = [a.tolist() for a in g.neighbor_lists()]
-    cuts, rows = _choice_table(np.unique(g.degrees).tolist())
-    if len(nbrs) * (len(cuts) + 1) <= _STEP_SLOTS:
-        lists = {d: row.tolist() for d, row in rows.items()}
-        step = [tuple(map(nb.__getitem__, lists[len(nb)])) for nb in nbrs]
+    degrees = np.unique(g.degrees).tolist()
+    if len(nbrs) * (sum(degrees) - len(degrees) + 1) > _STEP_SLOTS:
+        padded = [nb + nb[-1:] for nb in nbrs]
+        scale = [float(len(nb)) for nb in nbrs]
 
-        def chain(v, bins):
-            return [v := step[v][b] for b in bins]
+        def chain(v, u):
+            return [v := padded[v][int(x * scale[v])] for x in u.tolist()]
+
+        return chain
+    cuts, rows = _choice_table(degrees)
+    bins_of = _slot_bins(cuts)
+    step = [tuple(map(nb.__getitem__, rows[len(nb)])) for nb in nbrs]
+    if len(cuts) < 256:
+        def chain(v, u):
+            return [v := step[v][b] for b in bins_of(u).astype(np.uint8).tobytes()]
     else:
-        pick = [rows[len(nb)] for nb in nbrs]
+        def chain(v, u):
+            return [v := step[v][b] for b in bins_of(u).tolist()]
 
-        def chain(v, bins):
-            return [v := nbrs[v][pick[v][b]] for b in bins]
-
-    return cuts, chain
+    return chain
 
 
 def iter_ctmc(
@@ -292,14 +296,15 @@ def iter_ctmc(
     t_end or after max_jumps jumps, whichever comes first.
 
     Uniforms are drawn _BATCH holding times and _BATCH choices at a time.
-    Each choice uniform is binned among the cut points of the choice table by
-    numpy, slot by slot (_slot_bins), and the vertex chain, the only Python
-    loop, takes one table lookup per jump: step[v][b], the vertex entered
-    from v when the choice uniform falls in bin b, built once per walk when
-    its n * (number of cuts + 1) slots are at most _STEP_SLOTS, and two
-    lookups past that (_chain).  The holding times and their running sum
-    (sequential, so each jump time is the rounded t + hold of a per-jump
-    loop) are computed in place of their uniforms.
+    The vertex chain, the only Python loop, takes one table lookup per jump:
+    step[v][b], the vertex entered from v when the choice uniform falls in
+    bin b of the choice table's cuts, binned by numpy slot by slot
+    (_slot_bins), on graphs whose table fits in _STEP_SLOTS; past that it
+    takes the neighbor index int(u * deg) per jump (_chain).  On graphs of
+    at most 256 vertices the entered vertices come back as bytes.  The
+    holding times and their running sum (sequential, so each jump time is
+    the rounded t + hold of a per-jump loop) are computed in place of their
+    uniforms.
     """
     f = _check_field(g, f)
     e = _check_exponent(exponent)
@@ -316,8 +321,8 @@ def _walk(g, rates, start, t_end, seed, max_jumps):
     yield np.array([0.0]), np.array([start], dtype=np.int64)
     if g.n_vertices == 1:
         return
-    cuts, chain = _chain(g)
-    bins_of = _slot_bins(cuts)
+    chain = _chain(g)
+    narrow = g.n_vertices <= 256  # every vertex id fits in a byte
     rng = np.random.default_rng(seed)
     remaining = np.inf if max_jumps is None else int(max_jumps)
     # path[k] is the vertex held before jump k and path[k + 1] the one it
@@ -331,8 +336,8 @@ def _walk(g, rates, start, t_end, seed, max_jumps):
         path[0] = v
         for lo in range(0, cap, _CHAIN_SLICE):
             hi = min(lo + _CHAIN_SLICE, cap)
-            entered = chain(v, bins_of(u_choice[lo:hi]).tolist())
-            path[lo + 1 : hi + 1] = entered
+            entered = chain(v, u_choice[lo:hi])
+            path[lo + 1 : hi + 1] = np.frombuffer(bytes(entered), np.uint8) if narrow else entered
             v = entered[-1]
         # the holding times, then the jump times, in place of their uniforms;
         # the first jump time is h + t, which is t + h

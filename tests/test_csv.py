@@ -133,6 +133,24 @@ def test_write_csv_edge_cases_match_per_row_writer(tmp_path):
     small = np.resize(np.arange(256, dtype=np.uint8), len(floats))
     _write_and_compare(path, "gdgd", floats, ints, floats[::-1], small)
 
+    # one-chunk tables: int columns on both sides of four digits, negative and
+    # uint8 ones among them; float columns whose last nonzero digit is each of
+    # d1..d16 (1 + 2**-k has k decimals), across the two 8-digit words
+    narrow = np.array([9999, -9999, 0, -1, 7, 10, -305, 1000])
+    dyadic = 1.0 + 2.0 ** -np.arange(1, 17)
+    for ints in (narrow, np.append(narrow, 10_000), np.append(narrow, -10_000),
+                 np.array([255, 0, 9, 100], np.uint8), -np.arange(12)):
+        _write_and_compare(path, "dg", ints, np.resize(dyadic, len(ints)))
+    _write_and_compare(path, "g", np.concatenate([dyadic, -dyadic * 1e-3, dyadic * 1e12]))
+    # one exponent per chunk, -7..-11, where 10**q is not a double (q = 16 - X)
+    # and its low part is nonzero; the last is printed by %
+    rng = np.random.default_rng(7)
+    for X in range(-7, -12, -1):
+        values = rng.uniform(1.01, 9.99, 300) * 10.0**X
+        assert set(np.floor(np.log10(values)).tolist()) == {X}
+        assert _csv._P_LO[min(16 - X, 27)] != 0
+        _write_and_compare(path, "g", values)
+
 
 def test_write_csv_chunks_take_their_own_layouts(tmp_path):
     # five chunks whose cells need different slot columns: positive fixed

@@ -574,11 +574,16 @@ def _star(leaves):
     return Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
 
 
-# the star of 2,000 leaves has 1,999 cuts: its table would hold 4 M slots, past _STEP_SLOTS
+# the star of 2,000 leaves has 1,999 cuts: its table would hold 4 M slots, past
+# _STEP_SLOTS; the 300-vertex graph walks the table with vertex ids past 255, and
+# the threshold graph with 482 bins, past a byte; step_slots 0 puts every graph
+# past the bound, where the walk takes two lookups per jump, the degree and the
+# padded neighbor list
 @pytest.mark.parametrize(
     "g",
-    [_star(30), complete_graph(9), _threshold_graph(40), _star(2000)],
-    ids=["star", "complete", "threshold-40", "hub-star-2000"],
+    [_star(30), complete_graph(9), _threshold_graph(40), _star(2000),
+     random_connected_graph(300, 150, np.random.default_rng(300))],
+    ids=["star", "complete", "threshold-40", "hub-star-2000", "random-300"],
 )
 @pytest.mark.parametrize("seed", [3, 4])
 @pytest.mark.parametrize("t_end, max_jumps", [(np.inf, 500), (150.0, None), (150.0, 700)])
@@ -594,34 +599,59 @@ def test_per_vertex_table_walk_equals_per_jump_walk(g, seed, t_end, max_jumps, s
         mp.setattr(gr, "_STEP_SLOTS", step_slots)
         got = sample_ctmc(g, f, 1.3, 1, t_end, seed, -1, max_jumps)
     assert got.n_jumps > 3 * 37
+    if g.n_vertices == 300:
+        assert 300 * (sum(range(9)) + 1) <= gr._STEP_SLOTS  # degrees 1..9: a table
+        assert set(g.degrees.tolist()) == set(range(1, 10)) and got.vertices.max() > 255
+    _assert_same_path(got, want)
+
+
+# stars on both sides of a byte: 256 vertices and 254 cuts, 257 and 255, 258
+# and 256; the last leaf is entered only from the hub's last bin
+@pytest.mark.parametrize("leaves", [255, 256, 257])
+@pytest.mark.parametrize("step_slots", [gr._STEP_SLOTS, 0], ids=["table", "per-jump"])
+def test_walk_on_both_sides_of_a_byte(leaves, step_slots):
+    g = _star(leaves)
+    assert len(gr._choice_table([1, leaves])[0]) == leaves - 1
+    f = np.linspace(0.5, 3.0, g.n_vertices)
+    want = _reference_sample(g, f, 1.3, 1, np.inf, 5, -1, 20_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "_STEP_SLOTS", step_slots)
+        got = sample_ctmc(g, f, 1.3, 1, np.inf, 5, -1, 20_000)
+    assert got.vertices.max() == leaves
     _assert_same_path(got, want)
 
 
 @pytest.mark.parametrize("step_slots", [gr._STEP_SLOTS, 0], ids=["table", "two-lookups"])
 def test_chain_takes_each_vertex_choice(step_slots, monkeypatch):
-    # from v, a bin b enters the neighbor min(int(u * d), d - 1) for every u of the bin
+    # from v, each u enters the neighbor min(int(u * d), d - 1): u at the least
+    # u of each bin, the double below it, and the ends of [0, 1]
     monkeypatch.setattr(gr, "_STEP_SLOTS", step_slots)
     g = _threshold_graph(40)
-    cuts, chain = gr._chain(g)
-    nbrs = g.neighbor_lists()
-    u = np.concatenate([[0.0], cuts])  # the least u of each bin
-    bins = np.searchsorted(cuts, u, side="right")
-    assert bins.tolist() == list(range(len(cuts) + 1))
-    for v, nb in enumerate(nbrs):
+    chain = gr._chain(g)
+    cuts, _ = gr._choice_table(np.unique(g.degrees).tolist())
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0), 1.0], cuts, np.nextafter(cuts, 0.0)])
+    for v, nb in enumerate(g.neighbor_lists()):
         d = len(nb)
-        got = [chain(v, [b])[0] for b in bins.tolist()]
+        got = [chain(v, u[k:k + 1])[0] for k in range(len(u))]
         assert got == nb[np.minimum((u * d).astype(np.int64), d - 1)].tolist()
 
 
-def test_hub_star_chain_keeps_the_per_degree_rows():
+def test_hub_star_chain_keeps_the_per_degree_rows(monkeypatch):
     # a per-vertex table for 3,000 leaves would hold 3,001 x 3,000 slots (72 MB);
-    # past _STEP_SLOTS the chain keeps two rows of 3,000 choices
+    # past _STEP_SLOTS the chain builds no cuts, and holds the padded neighbor
+    # lists and the degrees
     g = _star(3000)
-    assert g.n_vertices * g.n_vertices > gr._STEP_SLOTS
+    assert g.n_vertices * (3000 - 1 + 1) > gr._STEP_SLOTS
+
+    def no_table(*args):
+        raise AssertionError("the walk past the bound built a choice table")
+
+    monkeypatch.setattr(gr, "_choice_table", no_table)
+    monkeypatch.setattr(gr, "_slot_bins", no_table)
     tracemalloc.start()
     try:
         gr._chain(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 2e6
