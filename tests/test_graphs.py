@@ -624,12 +624,14 @@ def test_walk_on_both_sides_of_a_byte(leaves, step_slots):
 @pytest.mark.parametrize("step_slots", [gr._STEP_SLOTS, 0], ids=["table", "two-lookups"])
 def test_chain_takes_each_vertex_choice(step_slots, monkeypatch):
     # from v, each u enters the neighbor min(int(u * d), d - 1): u at the least
-    # u of each bin, the double below it, and the ends of [0, 1]
+    # u of each bin, the double below each cut, and the top of [0, 1]
     monkeypatch.setattr(gr, "_STEP_SLOTS", step_slots)
     g = _threshold_graph(40)
     chain = gr._chain(g)
     cuts, _ = gr._choice_table(np.unique(g.degrees).tolist())
-    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0), 1.0], cuts, np.nextafter(cuts, 0.0)])
+    least = np.concatenate([[0.0], cuts])
+    assert np.searchsorted(cuts, least, side="right").tolist() == list(range(len(cuts) + 1))
+    u = np.concatenate([least, np.nextafter(cuts, 0.0), [np.nextafter(1.0, 0.0), 1.0]])
     for v, nb in enumerate(g.neighbor_lists()):
         d = len(nb)
         got = [chain(v, u[k:k + 1])[0] for k in range(len(u))]
@@ -641,7 +643,7 @@ def test_hub_star_chain_keeps_the_per_degree_rows(monkeypatch):
     # past _STEP_SLOTS the chain builds no cuts, and holds the padded neighbor
     # lists and the degrees
     g = _star(3000)
-    assert g.n_vertices * (3000 - 1 + 1) > gr._STEP_SLOTS
+    assert g.n_vertices * ((1 - 1) + (3000 - 1) + 1) > gr._STEP_SLOTS  # degrees 1 and 3,000
 
     def no_table(*args):
         raise AssertionError("the walk past the bound built a choice table")
