@@ -70,8 +70,9 @@ occupation.  Beside it runs the sampling half of the same call on the whole
 path, kept here as the reference: sample_ctmc, one weighted bincount over the
 path, and one CSV write.  Its trajectory, occupation and summary rows must be
 the reference's, byte for byte.
-The CSV rows write the 3e5-jump trajectory and three 2D snapshots of 1e5
-agents, the coverage runs' swarm size, with write_csv, which formats the
+The CSV rows write the 3e5-jump trajectory, three 2D snapshots of 1e5
+agents, the coverage runs' swarm size, and a 100-row table of three floats,
+the size of a bundled run's estimate.csv, with write_csv, which formats the
 cells in numpy, and with the chunked % writer it replaced, kept here as the
 reference; the two must write the same bytes.
 
@@ -676,9 +677,13 @@ def main() -> None:
     snap_columns = (np.repeat([s.time for s in swarm], 100_000), np.tile(np.arange(100_000), 3),
                     *np.concatenate([s.positions for s in swarm]).T,
                     np.concatenate([s.modes for s in swarm]))
+    # a 100-row table of three floats, the size of a bundled estimate.csv
+    est_path = os.path.join(tmpdir.name, "estimate.csv")
     csv_refs = {
         csv_path: ("t,vertex", "%.17g,%d", chain.times, chain.vertices),
         snap_path: ("t,agent_id,x,y,mode", "%.17g,%d,%.17g,%.17g,%d", *snap_columns),
+        est_path: ("x,u_hat,F_scaled", "%.17g,%.17g,%.17g", (np.arange(100) + 0.5) / 100,
+                   rng.random(100) * 2.0, rng.random(100) * 2.0),
     }
 
     marched = f"inverse map, 10 marched hats ({est._Plan(problem).n_steps} steps)"
@@ -705,6 +710,8 @@ def main() -> None:
     writer_ref = "trajectory, chunked % writer (reference)"
     snap_writer = "snapshots_to_csv (100,000 agents, 2D, 3 snapshots)"
     snap_ref = "snapshots, chunked % writer (reference)"
+    est_writer = "write_csv (100 rows of 3 floats, estimate.csv)"
+    est_ref = "100 rows of 3 floats, chunked % writer (reference)"
 
     cases = [
         (step_c, lambda: sk.step_active(swarm_c, D2, None, dt, noise_c, lo, hi)),
@@ -751,6 +758,8 @@ def main() -> None:
         (writer_ref, lambda: percent_write_csv(csv_path + ".ref", *csv_refs[csv_path])),
         (snap_writer, lambda: snapshots_to_csv(swarm, snap_path)),
         (snap_ref, lambda: percent_write_csv(snap_path + ".ref", *csv_refs[snap_path])),
+        (est_writer, lambda: write_csv(est_path, *csv_refs[est_path])),
+        (est_ref, lambda: percent_write_csv(est_path + ".ref", *csv_refs[est_path])),
         ("propagate (50 vertices, 5 times)", lambda: gr.propagate(graph, p_start, gf, 1.0, prop_times, -1)),
     ]
 
@@ -831,7 +840,8 @@ def main() -> None:
         raise SystemExit("read_csv differs from genfromtxt")
     print(f"{reader}: {times[reader] / len(got) * 1e6:.2f} us per row, against "
           f"{times[reader_ref] / len(got) * 1e6:.2f} for genfromtxt, names and bits identical")
-    for path, label, ref in ((csv_path, writer, writer_ref), (snap_path, snap_writer, snap_ref)):
+    for path, label, ref in ((csv_path, writer, writer_ref), (snap_path, snap_writer, snap_ref),
+                             (est_path, est_writer, est_ref)):
         with open(path, "rb") as got, open(path + ".ref", "rb") as want:
             if got.read() != want.read():
                 raise SystemExit(f"{label} bytes differ from the chunked % writer's")

@@ -1,5 +1,18 @@
 """Swarm coverage toolkit: agent simulation, mean-field solver, network
-analogue, and field estimation from windowed occupancy counts."""
+analogue, and field estimation from windowed occupancy counts.
+
+Importing the package before numpy sets OPENBLAS_NUM_THREADS to 1 unless it
+is set already: the package's BLAS calls are on small matrices, where the
+extra threads of OpenBLAS's pool only spin.  The setting holds for the whole
+process and its child processes; set the variable, or import numpy first, to
+keep OpenBLAS's own thread count.
+"""
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ConfigError, DegenerateFitError, DomainError, NumericError
 from .fields import (

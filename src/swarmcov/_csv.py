@@ -14,25 +14,27 @@ exponent moves by one and the product is taken again) and rounding the
 fraction gives the 17 significant digits.  r is off by less than 1e-14, so
 only a fraction within 1e-9 of 1/2 could round the wrong way: those cells,
 the non-finite ones and those outside the range are printed by ``%``, as are
-tables with a ``%s`` field.  Digits come four at a time from a lookup table.
-A chunk whose floats share one exponent takes one power of ten, broadcast.
-A float's last nonzero digit comes from its 16 digits after the first: their
-nonzero flags, read as two little-endian 64-bit words, have their highest
-set byte where ``np.frexp`` of the word gives an exponent of 8k + 1.
+tables with a ``%s`` field.  A chunk whose floats share one exponent takes
+one power of ten, broadcast.
 
 Each cell has a slot of fixed columns for every character its text may need:
 "-0.000", the 17 digits with a "." after each but the last, "e-XX" and the
 separator for a float (44 bytes); "-", 20 digits and the separator for an int
-(22).  A chunk's column keeps only the slot columns that some cell of the
-chunk prints: the sign only if a cell is negative, the "0.000" lead only for
-exponents -4..-1, the digits and dots its cells reach, "e-XX" only for
-exponents below -4, and as many int digits as its widest cell.  A chunk with
-a cell left to ``%`` keeps the whole slot.  The kept columns of every field
-make one (rows x width) byte matrix, a keep mask drops the characters each
-cell does not print, and one boolean index joins the chunk.  An int cell's
-digit count is one plus the powers of ten, up to the chunk's widest cell's,
-that it reaches; a column whose widest cell has at most 4 digits takes them
-from one lookup of its cells' values.
+(22).  A chunk keeps only the slot columns that some cell of it prints: the
+sign only if a cell is negative, the "0.000" lead only for exponents -4..-1,
+the digits and dots its cells reach, "e-XX" only for exponents below -4, and
+as many int digits as its widest cell.  A chunk with a cell left to ``%``
+keeps the whole slot, and that cell's text is written down its own column.
+The chunk is built slot-major: one (width x rows) byte matrix, one
+contiguous row per kept column, holding the byte each cell prints there or
+NUL where it prints nothing, so each column is one 1D operation.  Digits come
+four at a time from a lookup table of 0000..9999 in blocks that differ in
+which zeros are NUL: a float's 16 digits after the first from one lookup of
+its four groups, trailing zeros NUL where no nonzero digit follows, turned
+into 16 rows by one transpose, with the zeros up to the units digit set back
+by one mask; an int's with its leading zeros NUL.  The sign, the lead, each
+dot and "e-XX" are each one masked row.  No character a cell prints is NUL,
+so one transpose to row-major and dropping the NUL bytes join the chunk.
 
 ``read_csv`` reads the header line itself, as np.genfromtxt(names=True)
 reads one (a leading "#" and the spaces around names are allowed), skips
@@ -69,55 +71,35 @@ def _split(a):
 
 
 _P_HH, _P_HL = _split(_P_HI)
-# the four ASCII digits of 0000..9999, each as one uint32
-_DIGITS4 = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(
-    np.uint8).view(np.uint32).ravel()
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+# the four ASCII digits of 0000..9999, each as one uint32, in four blocks of
+# 10,000 that differ in which zeros are NUL, the byte a cell does not print
+_q = np.arange(10_000)[:, None]
+_PRINTED = (_q // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+_DIGITS4 = np.concatenate([
+    _PRINTED,
+    np.where(_q % np.array([10_000, 1000, 100, 10]) > 0, _PRINTED, 0),  # the trailing zeros
+    np.where(_q >= np.array([1000, 100, 10, 1]), _PRINTED, 0),  # the leading zeros
+    np.where(_q >= np.array([1000, 100, 10, 0]), _PRINTED, 0),  # those but the units digit
+]).astype(np.uint8).view(np.uint32).ravel()
+_TRAIL, _LEAD0, _UNITS = 10_000, 20_000, 30_000  # offsets of the blocks
 # the characters np.genfromtxt drops from a column name
 _NAME_DROPS = frozenset(r"""~!@#$%^&*()-=+~\|]}[{';: /?.>,<""" + '"')
 
-
-def _float_slot_keep():
-    """Which bytes of a float slot a cell keeps, by [exponent + 11, last nonzero digit].
-
-    The slot is "-0.000", the digits d0..d16 with a "." after each of
-    d0..d15, "e-XX" and the separator.  ``%.17g`` prints the digits in fixed
-    notation for -4 <= exponent <= 16, as d0..dX.d(X+1).. or 0.00d0..,
-    else as d0.d1..e-XX, with trailing zeros and a bare "." dropped.
-    """
-    X = np.arange(-11, 17)[:, None, None]
-    z = np.arange(17)[None, :, None]
-    pos = np.arange(44)
-    digit, dot = (pos - 6) // 2, (pos - 7) // 2
-    is_digit = (pos >= 6) & (pos <= 38) & (pos % 2 == 0)
-    is_dot = (pos >= 7) & (pos <= 37) & (pos % 2 == 1)
-    fixed, lead = X >= -4, (X >= -4) & (X < 0)
-    whole = fixed & (X >= 0)
-    dot_after = np.where(whole, X, 0)
-    return (
-        (lead & ((pos == 1) | (pos == 2) | ((pos >= 3) & (pos < 2 - X))))
-        | (is_digit & (digit <= np.where(whole, np.maximum(z, X), z)))
-        | (is_dot & ~lead & (dot == dot_after) & (z > dot_after))
-        | (~fixed & (pos >= 39) & (pos <= 42))
-        | (pos == 43)
-    )
-
-
-_FLOAT_KEEP = _float_slot_keep().reshape(-1, 44)
-# the two exponent digits of e-11..e+16, each pair as one uint16; only
-# exponents below -4 are printed in exponent notation, which is e-05..e-11 here
-_EXPONENTS = np.frombuffer(b"".join(b"%02d" % abs(X) for X in range(-11, 17)), np.uint16)
-# int slot: "-", 20 digits, the separator; by digit count
-_INT_KEEP = (np.arange(22) >= 21 - np.arange(21)[:, None]) & (np.arange(22) > 0)
-
-
-def _digits16(v):
-    """The 16 ASCII digits of each v in [0, 10**16), as an (n, 16) array."""
-    a = v // 10**8
-    b = v - a * 10**8
-    a1, b1 = a // 10**4, b // 10**4
-    groups = np.stack([a1, a - a1 * 10**4, b1, b - b1 * 10**4], axis=1)
-    return _DIGITS4.take(groups).view(np.uint8)
+# a float cell's slot: "-0.000", the digits d0..d16 with a "." after each of
+# d0..d15, "e-XX" and the separator (44 bytes)
+_FLOAT_SLOT = b"-0.000" + b"0." * 16 + b"0e-00"
+# by exponent + 11, a column per exponent, a row per slot column: the byte a
+# cell of that exponent prints there, or NUL.  %.17g prints 0.00d0.. for
+# exponents -4..-1 (the lead, slot columns 1..5), d0.d1..e-XX below -4
+# ("e-XX", 39..42), and the digits up to the units in fixed notation, their
+# trailing zeros included (the zeros of d1..d16, as an OR mask)
+_X = np.arange(-11, 18)
+_LEAD = np.array([(_X >= -4) & (_X <= -j) for j in (1, 1, 2, 3, 4)], np.uint8) * np.array(
+    [[48], [46], [48], [48], [48]], np.uint8)
+_E = (_X < -4).astype(np.uint8)
+_EXPONENT = np.array([_E * 101, _E * 45, _E * (48 + -_X // 10 % 10), _E * (48 + -_X % 10)],
+                     np.uint8)
+_WHOLE = ((_X >= np.arange(1, 17)[:, None]) * 48).astype(np.uint8)
 
 
 def _scaled(a, X):
@@ -143,8 +125,9 @@ def _float_cells(x, sep):
     """The layout of the float column x in its chunk, and a writer of its cells.
 
     Returns (text, put): the slot columns the chunk keeps, as the bytes they
-    start with, and put(M, K), which writes each cell into M and its keep
-    mask into K, both (rows x len(text)) views.
+    start with, and put(M), which writes the column's cells into M, a
+    (len(text) x rows) view: one row per kept slot column, holding the byte
+    each cell prints there, or NUL.
     """
     a = np.abs(x)
     fast = (a >= 1e-10) & (a < 1e16)
@@ -152,10 +135,14 @@ def _float_cells(x, sep):
     a = np.where(fast, a, 1.0)
     X = np.floor(np.log10(a)).astype(np.int64)
     F, frac = _scaled(a, X)
+    # left to %: the cells out of the range and those within _TIE of a tie
+    unsettled = (~fast & ~zero) | (np.abs(frac - 0.5) < _TIE)
     off = np.flatnonzero((F < _E16) | (F >= _E17))
     if off.size:
         X[off] += np.where(F[off] < _E16, -1, 1)
         F[off], frac[off] = _scaled(a[off], X[off])
+        # and those whose exponent the second product did not settle either
+        unsettled[off] = (F[off] < _E16) | (F[off] >= _E17) | (np.abs(frac[off] - 0.5) < _TIE)
     N = F + (frac > 0.5)
     top = N == _E17
     X += top
@@ -163,39 +150,64 @@ def _float_cells(x, sep):
     N[zero] = 0  # X is 0 there, as for 1.0
     d0 = N // _E16
     low = N - d0 * _E16
-    rest = _digits16(low)
-    # z: the last nonzero digit, d0 for 0 and for N = d0 * 10**16; frexp gives
-    # 8k + 1 for a flag word whose highest set byte is k, and 0 for no flag
-    e = np.frexp((rest != 48).view("<u8").astype(np.float64))[1]
-    z = (np.where(e[:, 1] > 0, 64 + e[:, 1], e[:, 0]) + 7) >> 3
-    row = np.clip((X + 11) * 17 + z, 0, len(_FLOAT_KEEP) - 1)
+    # d1..d16 in four groups; a group whose later digits are all zero takes
+    # the block whose trailing zeros are NUL
+    hi8 = low // 10**8
+    lo8 = low - hi8 * 10**8
+    g0, g2 = hi8 // 10**4, lo8 // 10**4
+    g1, g3 = hi8 - g0 * 10**4, lo8 - g2 * 10**4
+    groups = np.stack([g0 + _TRAIL * ((g1 == 0) & (lo8 == 0)), g1 + _TRAIL * (lo8 == 0),
+                       g2 + _TRAIL * (g3 == 0), g3 + _TRAIL])
+    # one row per digit: the (4 x rows) words' bytes, transposed once
+    digits = _DIGITS4.take(groups).view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
+    digits = digits.reshape(16, -1)
+    X += 11  # from here on, the column of the tables by exponent
+    whole = min(int(X.max()) - 11, 16)  # fixed notation prints the zeros up to the units
+    if whole > 0:
+        digits[:whole] |= _WHOLE[:whole].take(X, axis=1, mode="clip")
     neg = np.signbit(x)
-    unsettled = np.flatnonzero(
-        (~fast & ~zero) | (F < _E16) | (F >= _E17) | (np.abs(frac - 0.5) < _TIE))
-    if unsettled.size:
-        keep = np.ones(44, bool)  # % may print any of the slot's characters
-    else:
-        keep = _FLOAT_KEEP[np.bincount(row, minlength=len(_FLOAT_KEEP)) > 0].any(axis=0)
+    unsettled = np.flatnonzero(unsettled)
+    seen = np.zeros(len(_X), bool)
+    seen[X] = True
+    # the dot after dk (slot column 7 + 2k), printed where d(k + 1) is: after
+    # the units digit, or after d0 in exponent notation
+    dots = {int(k): (X == k + 11) & (digits[k] > 0) for k in np.flatnonzero(seen[11:27])}
+    if seen[:7].any():
+        dots[0] = ((X == 11) | (X < 7)) & (digits[0] > 0)
+    keep = np.ones(44, bool)  # % may print any of the slot's characters
+    if not unsettled.size:
         keep[0] = neg.any()
+        keep[1:6] = _LEAD[:, seen].any(axis=1)
+        keep[7:38:2] = False
+        for k, dot in dots.items():
+            keep[7 + 2 * k] = dot.any()
+        keep[8:39:2] = digits.any(axis=1)
+        keep[39:43] = seen[:7].any()
     cols = np.flatnonzero(keep)
-    at = np.cumsum(keep) - 1  # slot column -> layout column
+    at = np.cumsum(keep) - 1  # slot column -> row of M
+    n_lead = np.count_nonzero(keep[1:6])
     n_digits = np.count_nonzero(keep[8:39:2])
 
-    def put(M, K):
-        M[:, at[6]] = 48 + d0
-        M[:, at[8:8 + 2 * n_digits:2]] = rest[:, :n_digits]
-        K[:] = _FLOAT_KEEP[:, cols].take(row, axis=0)
+    def put(M):
         if keep[0]:
-            K[:, 0] = neg
-        if keep[41]:
-            M[:, at[41:43]] = _EXPONENTS.take(X + 11, mode="clip")[:, None].view(np.uint8)
-        for i in unsettled:
-            text = np.frombuffer((_G % x[i]).encode(), np.uint8)
-            M[i, :len(text)] = text
-            K[i, :43] = False
-            K[i, :len(text)] = True
+            np.multiply(neg.view(np.uint8), 45, out=M[0])
+        if n_lead:
+            np.take(_LEAD[:n_lead], X, axis=1, out=M[at[1]:at[1] + n_lead], mode="clip")
+        np.add(d0, 48, out=M[at[6]], casting="unsafe")
+        M[at[8:8 + 2 * n_digits:2]] = digits[:n_digits]
+        for k in np.flatnonzero(keep[7:38:2]):
+            if k in dots:
+                np.multiply(dots[k].view(np.uint8), 46, out=M[at[7 + 2 * k]])
+            else:
+                M[at[7 + 2 * k]] = 0
+        if keep[39]:
+            np.take(_EXPONENT, X, axis=1, out=M[at[39]:at[39] + 4], mode="clip")
+        M[-1] = sep[0]
+        if unsettled.size:
+            text = b"".join((_G % v).encode().ljust(43, b"\0") for v in x[unsettled].tolist())
+            M[:43, unsettled] = np.frombuffer(text, np.uint8).reshape(-1, 43).T
 
-    return _slot(_G, sep)[cols], put
+    return np.frombuffer(_FLOAT_SLOT + sep, np.uint8)[cols], put
 
 
 def _int_cells(v, sep):
@@ -205,34 +217,28 @@ def _int_cells(v, sep):
     as many digits as the widest cell has.
     """
     neg = v < 0
+    sign = bool(neg.any())
     mag = v.astype(np.uint64)  # modulo 2**64, so 0 - mag is |v| for v < 0
-    mag = np.where(neg, 0 - mag, mag)
+    if sign:
+        mag = np.where(neg, 0 - mag, mag)
     width = len(str(int(mag.max())))
-    # digits: one, plus one for each power of ten up to the widest cell's it reaches
-    count = np.ones(len(mag), np.intp)
-    for p in _POW10[:width - 1]:
-        count += mag >= p
-    keep = _INT_KEEP[width].copy()
-    keep[0] = neg.any()
-    cols = np.flatnonzero(keep)
     groups = -(-width // 4)
-    # the last 4 * groups digits, four at a time: one group is the cells themselves
-    quads = mag[:, None] if groups == 1 else np.stack(
-        [mag // 10 ** (4 * k) % 10**4 for k in range(groups - 1, -1, -1)], axis=1)
 
-    def put(M, K):
-        M[:, int(keep[0]):-1] = _DIGITS4.take(quads).view(np.uint8)[:, 4 * groups - width:]
-        K[:] = _INT_KEEP[:, cols].take(count, axis=0)
-        if keep[0]:
-            K[:, 0] = neg
+    def put(M):
+        if sign:
+            np.multiply(neg.view(np.uint8), 45, out=M[0])
+        # four digits at a time, the top group first: a group below a nonzero
+        # one prints its leading zeros, and only the units group prints a 0
+        quads = mag + _UNITS
+        if groups > 1:
+            quads = np.stack([mag // 10 ** (4 * k) % 10**4 + np.where(
+                mag >= 10 ** (4 * k + 4), np.uint64(0), np.uint64(_LEAD0 if k else _UNITS))
+                for k in range(groups - 1, -1, -1)], axis=1)
+        digits = _DIGITS4.take(quads).view(np.uint8).reshape(len(mag), -1)
+        M[int(sign):-1] = digits[:, 4 * groups - width:].T
+        M[-1] = sep[0]
 
-    return _slot(_D, sep)[cols], put
-
-
-def _slot(field, sep):
-    """Every character a cell of field may print, at fixed columns, as uint8."""
-    text = b"-0.000" + b"0." * 16 + b"0e-00" if field == _G else b"-" + b"0" * 20
-    return np.frombuffer(text + sep, np.uint8)
+    return np.frombuffer(b"-"[:sign] + b"0" * width + sep, np.uint8), put
 
 
 def _numpy_rows(fields, chunk):
@@ -240,15 +246,16 @@ def _numpy_rows(fields, chunk):
     seps = [b","] * (len(fields) - 1) + [b"\n"]
     cells = [_float_cells(col.astype(np.float64), sep) if field == _G else _int_cells(col, sep)
              for field, col, sep in zip(fields, chunk, seps)]
-    text = np.concatenate([t for t, _ in cells])
-    M = np.empty((len(chunk[0]), len(text)), np.uint8)
-    M[:] = text
-    K = np.empty(M.shape, bool)
+    # each row a cache line longer than the chunk: rows 8192 bytes apart would
+    # put a cell's bytes in one cache set, which the transpose below thrashes
+    n = len(chunk[0])
+    M = np.empty((sum(len(t) for t, _ in cells), n + 64), np.uint8)[:, :n]
     o = 0
     for t, put in cells:
-        put(M[:, o:o + len(t)], K[:, o:o + len(t)])
+        put(M[o:o + len(t)])
         o += len(t)
-    return M.ravel()[K.ravel()]
+    rows = M.T.copy().ravel()  # no character printed is NUL
+    return rows[rows != 0]
 
 
 def _percent_rows(row_format, chunk):

@@ -13,6 +13,7 @@ to external tools; ``--gnuplot`` drops companion scripts next to the data.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Any, Optional
@@ -430,7 +431,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="swarmcov",
         description="Swarm coverage experiments: simulation, mean-field, network, estimation.",
@@ -442,7 +445,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=_as_seed, default=None, help="override the config seed")
         p.add_argument("--gnuplot", action="store_true", help="emit companion plot scripts")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.command)

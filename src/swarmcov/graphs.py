@@ -11,6 +11,7 @@ distribution is proportional to 1/f; with e = -1 it is proportional to f
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -72,34 +73,53 @@ class Graph:
             raise ValueError("graph must be connected")
 
     def _connected(self) -> bool:
-        if self.n_vertices == 1:
-            return True
-        adj = self.neighbor_lists()
-        seen = np.zeros(self.n_vertices, dtype=bool)
-        stack = [0]
+        start, flat = (a.tolist() for a in self._adjacency)
+        seen = [False] * self.n_vertices
         seen[0] = True
+        stack, reached = [0], 1
         while stack:
             u = stack.pop()
-            for v in adj[u]:
+            for v in flat[start[u]:start[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
+                    reached += 1
+                    stack.append(v)
+        return reached == self.n_vertices
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return [np.array(sorted(a), dtype=np.int64) for a in adj]
+    @functools.cached_property
+    def _edge_array(self) -> np.ndarray:
+        """The edges as an (m, 2) array, each pair ascending."""
+        return _read_only(np.array(self.edges, dtype=np.int64).reshape(-1, 2))
 
-    @property
+    @functools.cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """(start, flat): vertex v's neighbors, ascending, are flat[start[v]:start[v + 1]]."""
+        e = self._edge_array
+        tail = np.concatenate([e[:, 0], e[:, 1]])
+        head = np.concatenate([e[:, 1], e[:, 0]])
+        start = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=start[1:])
+        return _read_only(start), _read_only(head[np.lexsort((head, tail))])
+
+    @functools.cached_property
+    def _neighbor_lists(self) -> tuple[np.ndarray, ...]:
+        start, flat = self._adjacency
+        bounds = start.tolist()
+        return tuple(flat[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+    def neighbor_lists(self) -> tuple[np.ndarray, ...]:
+        """Each vertex's neighbors, ascending: read-only arrays, computed once."""
+        return self._neighbor_lists
+
+    @functools.cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        """Each vertex's degree: a read-only array, computed once."""
+        return _read_only(np.bincount(self._edge_array.ravel(), minlength=self.n_vertices))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
@@ -132,11 +152,9 @@ def _check_exponent(exponent: int) -> int:
 def laplacian(g: Graph) -> np.ndarray:
     """Dense graph Laplacian: degree matrix minus adjacency matrix."""
     L = np.zeros((g.n_vertices, g.n_vertices))
-    for u, v in g.edges:
-        L[u, u] += 1.0
-        L[v, v] += 1.0
-        L[u, v] -= 1.0
-        L[v, u] -= 1.0
+    u, v = g._edge_array.T
+    L[u, v] = L[v, u] = -1.0
+    np.fill_diagonal(L, g.degrees)
     return L
 
 
@@ -254,7 +272,8 @@ def _chain(g: Graph):
     27,898 cuts, a table of 8.4 M slots.  A 50-vertex graph of degrees 1..8
     has 50 x 22.
     """
-    nbrs = [a.tolist() for a in g.neighbor_lists()]
+    start, flat = (a.tolist() for a in g._adjacency)
+    nbrs = [flat[a:b] for a, b in zip(start[:-1], start[1:])]
     degrees = np.unique(g.degrees).tolist()
     if len(nbrs) * (sum(degrees) - len(degrees) + 1) > _STEP_SLOTS:
         padded = [nb + nb[-1:] for nb in nbrs]

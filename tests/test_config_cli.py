@@ -223,6 +223,30 @@ def test_cli_usage_error_without_config():
         main(["coverage"])
 
 
+def test_cli_calls_in_one_process_leave_no_state(tmp_path, monkeypatch):
+    # the parser is built once per process; each call parses its own argv
+    assert cli._parser() is cli._parser()
+    graph = _write(tmp_path, MINIMAL_GRAPH, "graph.cfg", out=str(tmp_path / "unused"))
+    pde = _write(tmp_path, MINIMAL_PDE, "pde.cfg", out=str(tmp_path / "pde"))
+    runs = {}
+    for name, seed in (("seeded", ["--seed", "5", "--gnuplot"]), ("config", []),
+                       ("same", ["--seed", "7"])):
+        assert main(["graph", "--config", graph, "--out", str(tmp_path / name)] + seed) == 0
+        runs[name] = (tmp_path / name / "trajectory.csv").read_bytes()
+        assert main(["pde", "--config", pde]) == 0
+    # the config's seed 7, not the 5 of an earlier call, and no plot script left on
+    assert runs["config"] == runs["same"] != runs["seeded"]
+    assert (tmp_path / "seeded" / "graph.gp").exists()
+    assert not (tmp_path / "config" / "graph.gp").exists()
+    assert not (tmp_path / "pde" / "pde.gp").exists()
+
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "pde", (lambda *args: seen.append(args[1:]), "spy"))
+    main(["pde", "--config", pde, "--seed", "3", "--gnuplot", "--out", str(tmp_path / "o")])
+    main(["pde", "--config", pde])
+    assert seen == [(str(tmp_path / "o"), 3, True), (str(tmp_path / "pde"), None, False)]
+
+
 def test_cli_exit_three_on_degenerate_estimate(tmp_path, capsys):
     # all-zero observations drive the fit to zero mass: a numeric failure
     obs = tmp_path / "obs.csv"
@@ -808,6 +832,23 @@ def test_cli_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "preset, first, want",
+    [(None, "", "1"), ("3", "", "3"), (None, "import numpy; ", None)],
+    ids=["unset", "user-value", "numpy-first"],
+)
+def test_package_import_sets_one_blas_thread_only_before_numpy(preset, first, want):
+    src = os.path.dirname(os.path.dirname(est.__file__))
+    code = first + "import os, swarmcov; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == str(want)
 
 
 # ---------------------------------------------------------------------------

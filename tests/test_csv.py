@@ -108,6 +108,18 @@ def test_write_csv_matches_percent_on_raw_bit_patterns(tmp_path):
         _csv.write_csv(path, "x", "%.17g", values)
         want = "x\n" + "".join(["%.17g\n" % x for x in values.tolist()])
         assert path.read_bytes() == want.encode()
+    # a trajectory-shaped table: 2e5 rising jump times from 0 to about 1,000,
+    # so the chunks take different exponents and "0.00" leads, and vertex ids
+    # 0..299, of 1, 2 and 3 digits in every chunk
+    times = np.cumsum(rng.exponential(0.005, 200_000))
+    times[0] = 0.0
+    vertices = rng.integers(0, 300, 200_000)
+    assert {len(str(v)) for v in vertices[:_csv._CHUNK_ROWS].tolist()} == {1, 2, 3}
+    path = tmp_path / "trajectory.csv"
+    _csv.write_csv(path, "t,vertex", "%.17g,%d", times, vertices)
+    want = "t,vertex\n" + "".join(["%.17g,%d\n" % row
+                                   for row in zip(times.tolist(), vertices.tolist())])
+    assert path.read_bytes() == want.encode()
 
 
 def test_write_csv_edge_cases_match_per_row_writer(tmp_path):
@@ -135,7 +147,7 @@ def test_write_csv_edge_cases_match_per_row_writer(tmp_path):
 
     # one-chunk tables: int columns on both sides of four digits, negative and
     # uint8 ones among them; float columns whose last nonzero digit is each of
-    # d1..d16 (1 + 2**-k has k decimals), across the two 8-digit words
+    # d1..d16 (1 + 2**-k has k decimals), across the four 4-digit groups
     narrow = np.array([9999, -9999, 0, -1, 7, 10, -305, 1000])
     dyadic = 1.0 + 2.0 ** -np.arange(1, 17)
     for ints in (narrow, np.append(narrow, 10_000), np.append(narrow, -10_000),

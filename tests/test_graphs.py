@@ -574,6 +574,47 @@ def _star(leaves):
     return Graph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)))
 
 
+def _per_edge_adjacency(g):
+    """The neighbor lists, degrees and Laplacian by one loop over the edges."""
+    adj = [[] for _ in range(g.n_vertices)]
+    deg = np.zeros(g.n_vertices, dtype=np.int64)
+    L = np.zeros((g.n_vertices, g.n_vertices))
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+        deg[u] += 1
+        deg[v] += 1
+        L[u, u] += 1.0
+        L[v, v] += 1.0
+        L[u, v] -= 1.0
+        L[v, u] -= 1.0
+    return [np.array(sorted(a), dtype=np.int64) for a in adj], deg, L
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph(1, ()), path_graph(2), path_graph(7), complete_graph(9), _star(30),
+     _threshold_graph(40), random_connected_graph(300, 150, np.random.default_rng(300)),
+     Graph(4, ((3, 1), (0, 2), (2, 1)))],
+    ids=["one-vertex", "path-2", "path-7", "complete", "star", "threshold-40", "random-300",
+         "unsorted-edges"],
+)
+def test_neighbor_lists_and_degrees_equal_the_per_edge_loop_and_are_kept(g):
+    lists, deg, L = _per_edge_adjacency(g)
+    got = g.neighbor_lists()
+    assert len(got) == len(lists)
+    for a, b in zip(got, lists):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert g.degrees.dtype == deg.dtype and np.array_equal(g.degrees, deg)
+    assert laplacian(g).tobytes() == L.tobytes()
+    # computed once per graph, and no caller can change them
+    assert g.neighbor_lists() is got and g.degrees is g.degrees
+    for a in (g.degrees, *got):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+
+
 # the star of 2,000 leaves has 1,999 cuts: its table would hold 4 M slots, past
 # _STEP_SLOTS; the 300-vertex graph walks the table with vertex ids past 255, and
 # the threshold graph with 482 bins, past a byte; step_slots 0 puts every graph
