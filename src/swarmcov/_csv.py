@@ -71,16 +71,22 @@ def _split(a):
 
 
 _P_HH, _P_HL = _split(_P_HI)
-# the four ASCII digits of 0000..9999, each as one uint32, in four blocks of
-# 10,000 that differ in which zeros are NUL, the byte a cell does not print
-_q = np.arange(10_000)[:, None]
-_PRINTED = (_q // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
-_DIGITS4 = np.concatenate([
-    _PRINTED,
-    np.where(_q % np.array([10_000, 1000, 100, 10]) > 0, _PRINTED, 0),  # the trailing zeros
-    np.where(_q >= np.array([1000, 100, 10, 1]), _PRINTED, 0),  # the leading zeros
-    np.where(_q >= np.array([1000, 100, 10, 0]), _PRINTED, 0),  # those but the units digit
-]).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digit_blocks():
+    """The four ASCII digits of 0000..9999, each as one uint32, in four blocks
+    of 10,000 that differ in which zeros are NUL, the byte a cell does not print."""
+    q = np.arange(10_000)[:, None]
+    printed = (q // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    return np.concatenate([
+        printed,
+        np.where(q % np.array([10_000, 1000, 100, 10]) > 0, printed, 0),  # the trailing zeros
+        np.where(q >= np.array([1000, 100, 10, 1]), printed, 0),  # the leading zeros
+        np.where(q >= np.array([1000, 100, 10, 0]), printed, 0),  # those but the units digit
+    ]).astype(np.uint8).view(np.uint32).ravel()
+
+
+_DIGITS4 = _digit_blocks()
 _TRAIL, _LEAD0, _UNITS = 10_000, 20_000, 30_000  # offsets of the blocks
 # the characters np.genfromtxt drops from a column name
 _NAME_DROPS = frozenset(r"""~!@#$%^&*()-=+~\|]}[{';: /?.>,<""" + '"')
