@@ -11,6 +11,7 @@ keep OpenBLAS's own thread count.
 import os
 import sys
 
+# before the modules below import numpy, which sizes OpenBLAS's pool as it loads
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
